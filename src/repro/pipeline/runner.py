@@ -1,4 +1,4 @@
-"""High-level sweep driver: spec → stage graph → cache → executor → result.
+"""High-level sweep driver: spec → stages → cache → executor → result.
 
 :func:`run_sweep` is the one call the benchmarks, the CLI, and the examples
 all go through. It enumerates a :class:`~repro.pipeline.spec.SweepSpec` into
@@ -14,21 +14,23 @@ processes and so a job's result is a pure function of its content hash.
 Its RNG is spawned from that hash (``job.spawn_seed``), which is what makes
 serial, thread, and process sweeps bit-identical.
 
-**The codesign stage graph.** A ``kind="codesign"`` job is the pure kernel
-chain ``run_quant_stage → lift_layerspecs → run_hw_job``:
-:func:`run_codesign_job` runs it in one call (quantize + evaluate via
-:func:`~repro.eval.harness.evaluate_setting`, lift the measured per-layer
-packed statistics, simulate the lifted
-:class:`~repro.hw.MeasuredWorkload`), merging accuracy and hardware metrics
-under the job's single content hash. Inside :func:`run_sweep` the chain is
-*staged*: the quant stage is an ordinary accuracy job cached under its own
-accuracy-job hash — so an accuracy sweep and a codesign sweep over the same
-settings share the expensive stage in either order — and the hardware stage
-is cached under a content hash of its actual inputs (arch + knobs + the
-lifted layer statistics), which is seed-free because quantization is
-deterministic: differently-seeded codesign sweeps share hw-stage cells.
-Stage reuse is reported in ``SweepResult.telemetry`` as
-``quant_stage_hits`` / ``hw_stage_hits``.
+**Stages.** Inside :func:`run_sweep` every job is an ordered list of
+content-addressed stages: an accuracy job is ``[quant]``, a hardware job
+``[hw]``, and a ``kind="codesign"`` job ``[quant, lift, hw]`` — quantize +
+evaluate via :func:`~repro.eval.harness.evaluate_setting`, lift the
+measured per-layer packed statistics (:func:`_hw_stage_task`, done in the
+scheduler's process while it builds the hardware task), simulate the lifted
+:class:`~repro.hw.MeasuredWorkload`, and merge accuracy and hardware
+metrics under the job's own content hash. A codesign job's quant stage is
+an ordinary accuracy job cached under its accuracy-job hash — so an
+accuracy sweep and a codesign sweep over the same settings share the
+expensive stage in either order — and its hardware stage is cached under a
+content hash of its actual inputs (arch + knobs + the lifted layer
+statistics), which is seed-free because quantization is deterministic:
+differently-seeded codesign sweeps share hw-stage cells. Stage reuse is
+reported in ``SweepResult.telemetry`` as ``quant_stage_hits`` /
+``hw_stage_hits``. :func:`run_codesign_job` runs the same chain inline, in
+one call.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..obs.trace import TRACE_ENV, current_tracer, enable_tracing, set_tracer, trace
-from .cache import ResultCache
 from .executor import JobOutcome
 from .spec import HASH_VERSION, ExperimentSpec, Job, SweepSpec, _canonical
 
@@ -53,6 +54,7 @@ __all__ = [
     "resolve_metric",
     "run_codesign_job",
     "run_sweep",
+    "task_key",
 ]
 
 
@@ -110,15 +112,79 @@ def hw_stage_hash(spec: ExperimentSpec, layers: Dict[str, Any], version: str = "
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _lift_layers(quant_metrics: Dict[str, Any], job: Job) -> Dict[str, Any]:
-    """The measured per-layer statistics the quant stage exported."""
+@dataclass(frozen=True)
+class _HwStageTask:
+    """A dispatchable hardware stage: the codesign job + its lifted layers.
+
+    Module-level and closure-free so it pickles into process-pool workers;
+    quacks enough like a Job (``label``) for the executor's progress hooks.
+    ``stage_hash`` is the task's identity on the way back from the pool —
+    labels are free-form user tags and may collide across jobs.
+    """
+
+    job: Job
+    stage_hash: str
+    layers: Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...]
+
+    @property
+    def label(self) -> str:
+        return f"{self.job.label} [hw stage]"
+
+    def layer_dict(self) -> Dict[str, Dict[str, Any]]:
+        return {name: dict(stats) for name, stats in self.layers}
+
+    @staticmethod
+    def pack_layers(layers: Dict[str, Any]) -> Tuple:
+        return tuple(
+            (name, tuple(sorted(stats.items()))) for name, stats in sorted(layers.items())
+        )
+
+    def record(self, outcome: JobOutcome) -> Dict[str, Any]:
+        """The cacheable JSON form of this stage's outcome."""
+        return {
+            "stage": "codesign-hw",
+            "label": self.label,
+            "metrics": outcome.metrics,
+            "seconds": outcome.seconds,
+        }
+
+
+def task_key(task: Union[Job, _HwStageTask]) -> str:
+    """A task's claim address — in the scheduler's in-flight book and in a
+    ``repro-dist`` coordinator's fleet-wide one: jobs (and quant stages,
+    which are accuracy jobs) by job hash, hardware stages as
+    ``hw:<stage hash>`` (stage and job addresses are separate namespaces)."""
+    if isinstance(task, _HwStageTask):
+        return f"hw:{task.stage_hash}"
+    return task.job_hash
+
+
+def _hw_stage_task(job: Job, quant_metrics: Dict[str, Any]) -> _HwStageTask:
+    """The lift: a codesign job's hardware stage, built from the measured
+    per-layer statistics its quant stage exported."""
     layers = quant_metrics.get("layers")
     if not layers:
         raise RuntimeError(
             f"codesign job {job.label!r}: the quant stage exported no packed "
             f"layer statistics to lift (method {job.spec.method!r})"
         )
-    return layers
+    return _HwStageTask(
+        job, hw_stage_hash(job.spec, layers, job.version), _HwStageTask.pack_layers(layers)
+    )
+
+
+def _hw_stage_kernel(task: _HwStageTask) -> Dict[str, Any]:
+    """The lifted hardware stage: simulate the measured workload."""
+    from ..hw import run_measured_hw_job
+
+    spec = task.job.spec
+    with trace(
+        "stage:hw", arch=spec.arch, substrate=spec.substrate, family=spec.family
+    ):
+        return run_measured_hw_job(
+            spec.substrate, spec.family, spec.arch, dict(spec.hw_kwargs),
+            task.layer_dict(),
+        )
 
 
 def _merge_codesign(
@@ -127,26 +193,13 @@ def _merge_codesign(
     """One merged metrics dict: accuracy metrics + hardware metrics + the
     stage addresses (both deterministic functions of the job, so the merge
     is identical whether the stages ran inline, staged, or from cache)."""
-    layers = _lift_layers(quant_metrics, job)
+    layers = quant_metrics["layers"]  # lifted already: the hw stage ran on them
     merged = dict(quant_metrics)
     merged.update(hw_metrics)
     merged["kind"] = "codesign"
     merged["quant_stage_hash"] = job.quant_stage().job_hash
     merged["hw_stage_hash"] = hw_stage_hash(job.spec, layers, job.version)
     return merged
-
-
-def _run_hw_stage(job: Job, layers: Dict[str, Any]) -> Dict[str, Any]:
-    """The lifted hardware stage: simulate the measured workload."""
-    from ..hw import run_measured_hw_job
-
-    spec = job.spec
-    with trace(
-        "stage:hw", arch=spec.arch, substrate=spec.substrate, family=spec.family
-    ):
-        return run_measured_hw_job(
-            spec.substrate, spec.family, spec.arch, dict(spec.hw_kwargs), layers
-        )
 
 
 def run_codesign_job(
@@ -163,8 +216,8 @@ def run_codesign_job(
     if quant_metrics is None:
         quant_metrics = _quant_stage_metrics(job.quant_stage())
     with trace("stage:lift", family=job.spec.family, arch=job.spec.arch):
-        layers = _lift_layers(quant_metrics, job)
-    return _merge_codesign(job, quant_metrics, _run_hw_stage(job, layers))
+        task = _hw_stage_task(job, quant_metrics)
+    return _merge_codesign(job, quant_metrics, _hw_stage_kernel(task))
 
 
 def execute_job(job: Job) -> Dict[str, Any]:
@@ -436,81 +489,6 @@ class SweepResult:
         ]
 
 
-# --------------------------------------------------------- staged scheduling
-
-
-@dataclass(frozen=True)
-class _HwStageTask:
-    """A dispatchable hardware stage: the codesign job + its lifted layers.
-
-    Module-level and closure-free so it pickles into process-pool workers;
-    quacks enough like a Job (``label``) for the executor's progress hooks.
-    ``stage_hash`` is the task's identity on the way back from the pool —
-    labels are free-form user tags and may collide across jobs.
-    """
-
-    job: Job
-    stage_hash: str
-    layers: Tuple[Tuple[str, Tuple[Tuple[str, Any], ...]], ...]
-
-    @property
-    def label(self) -> str:
-        return f"{self.job.label} [hw stage]"
-
-    def layer_dict(self) -> Dict[str, Dict[str, Any]]:
-        return {name: dict(stats) for name, stats in self.layers}
-
-    @staticmethod
-    def pack_layers(layers: Dict[str, Any]) -> Tuple:
-        return tuple(
-            (name, tuple(sorted(stats.items()))) for name, stats in sorted(layers.items())
-        )
-
-
-def _hw_stage_kernel(task: _HwStageTask) -> Dict[str, Any]:
-    return _run_hw_stage(task.job, task.layer_dict())
-
-
-class _StageBook:
-    """Bookkeeping for the codesign stage graph inside one sweep run."""
-
-    def __init__(self, cache: Optional[ResultCache], recompute: bool):
-        self.cache = cache
-        self.recompute = recompute
-        self.quant_results: Dict[str, Dict[str, Any]] = {}
-        self.quant_errors: Dict[str, Dict[str, str]] = {}
-        self.quant_spans: Dict[str, Dict[str, Any]] = {}
-        self.quant_stage_hits = 0
-        self.hw_stage_hits = 0
-
-    def lookup_quant(self, qjob: Job) -> Optional[Dict[str, Any]]:
-        """A usable cached quant-stage result (must carry the lift)."""
-        if self.cache is None or self.recompute:
-            return None
-        record = self.cache.get(qjob.job_hash)
-        metrics = (record or {}).get("metrics")
-        if metrics and metrics.get("layers"):
-            return metrics
-        return None  # pre-lift records recompute (and refresh) the stage
-
-    def lookup_hw(self, hh: str) -> Optional[Dict[str, Any]]:
-        if self.cache is None or self.recompute:
-            return None
-        return ((self.cache.get(hh) or {}).get("metrics")) or None
-
-    def store_hw(self, hh: str, job: Job, metrics: Dict[str, Any], seconds: float) -> None:
-        if self.cache is not None:
-            self.cache.put(
-                hh,
-                {
-                    "stage": "codesign-hw",
-                    "label": f"{job.label} [hw stage]",
-                    "metrics": metrics,
-                    "seconds": seconds,
-                },
-            )
-
-
 def run_sweep(
     sweep: Union[SweepSpec, Sequence[ExperimentSpec]],
     cache_dir: Optional[str] = None,
@@ -523,13 +501,19 @@ def run_sweep(
 ) -> SweepResult:
     """Run every job of ``sweep``, computing only what the cache lacks.
 
-    Codesign jobs run as a two-phase stage graph: phase 1 computes every
-    pending accuracy/hardware job *plus* the quant stages codesign jobs
-    still need (deduplicated — a codesign sweep over settings an accuracy
-    sweep already cached reuses those cells, counted in
-    ``telemetry["quant_stage_hits"]``); phase 2 simulates the lifted
-    hardware stages (cached by stage content, seed-free —
-    ``telemetry["hw_stage_hits"]``) and merges.
+    Each job the cache misses runs as its list of content-addressed stages
+    — accuracy ``[quant]``, hardware ``[hw]``, codesign ``[quant, lift,
+    hw]`` — advanced one stage per pass for all jobs at once. A stage is
+    cached and claimed under its own address, so jobs that share one (an
+    accuracy cell and its codesign twins, codesign jobs over several archs,
+    a concurrent submission) compute it once: a codesign sweep over
+    settings an accuracy sweep already cached reuses those cells (counted
+    in ``telemetry["quant_stage_hits"]``), and hardware stages are cached
+    by stage content, seed-free (``telemetry["hw_stage_hits"]``). A
+    freshly computed stage's seconds count toward exactly one job — the
+    first, in job order, to consume it — so job seconds and
+    ``telemetry["compute_s"]`` include quant stages computed for codesign
+    jobs.
 
     When a cache directory is given, every run appends one record — spec
     digest, per-job outcomes, counter delta, span tree when traced — to the
@@ -576,42 +560,3 @@ def run_sweep(
                 os.environ.pop(TRACE_ENV, None)
             else:
                 os.environ[TRACE_ENV] = prev_env
-
-
-def _codesign_span_tree(
-    job: Job,
-    book: _StageBook,
-    lift_span: Optional[Dict[str, Any]],
-    hw_span: Optional[Dict[str, Any]],
-) -> Optional[Dict[str, Any]]:
-    """The synthesized span tree of one *staged* codesign job.
-
-    The staged scheduler runs the job's stages in different places (phase 1
-    pool, the runner thread, phase 2 pool), so no single capture saw the
-    whole job; this stitches the stage captures back into one ``job`` node
-    whose total is exactly the sum of its stage children — stages served
-    from cache simply have no child here.
-    """
-    children: List[Dict[str, Any]] = []
-    qspan = book.quant_spans.get(job.quant_stage().job_hash)
-    if qspan:
-        kids = qspan.get("children") or []
-        children.extend(kids or [dict(qspan, name="stage:quant")])
-    if lift_span:
-        children.append(lift_span)
-    if hw_span:
-        kids = hw_span.get("children") or []
-        children.extend(kids or [dict(hw_span, name="stage:hw")])
-    if not children:
-        return None
-    return {
-        "name": "job",
-        "attrs": {
-            "label": job.label,
-            "hash": job.job_hash,
-            "kind": "codesign",
-            "staged": True,
-        },
-        "seconds": round(sum(float(c.get("seconds", 0.0)) for c in children), 6),
-        "children": children,
-    }

@@ -1,4 +1,4 @@
-"""Reusable sweep scheduler: submissions → stage graph → executor → results.
+"""Reusable sweep scheduler: submissions → stages → executor → results.
 
 :class:`SweepScheduler` is the engine both frontends share. The CLI's
 :func:`~repro.pipeline.runner.run_sweep` creates a transient scheduler and
@@ -9,21 +9,30 @@ queue, and hands each client a :class:`SweepHandle` carrying live job
 states, a progress-event log for SSE subscribers, cancellation, and the
 eventual :class:`~repro.pipeline.runner.SweepResult`.
 
+**One stage loop.** Every job the cache misses is an ordered list of
+content-addressed stages — accuracy ``[quant]``, hardware ``[hw]``,
+codesign ``[quant, lift, hw]`` (the lift runs here, in-process, while the
+hardware task is built). Each pass advances all unfinished jobs one stage
+through :meth:`SweepScheduler._advance`: it dedups the requested stages by
+address, serves what the sweep already read or the cache holds, claims the
+rest, runs the owned ones on one executor pool, awaits the attached ones,
+caches each fresh result before resolving its claim, and settles each job
+the moment its last stage lands — so progress and SSE events stream.
+
 **Cross-submission in-flight dedup.** The content hashes that make the
 result cache safe to share across processes also make *concurrent*
 submissions safe to share work: before dispatching its pool, a submission
-claims every pending job hash (and, in phase 2, every pending hw-stage
-hash) in the scheduler's in-flight book. The first claimant owns the
-computation; later claimants attach to the owner's future and settle the
-outcome without recomputing — counted in ``pipeline.inflight_dedup`` and
-``telemetry["inflight_dedup"]``. If an owner abandons a claim (cancelled or
-crashed mid-sweep), attached submissions re-claim and compute the job
-themselves, so dedup never turns one client's cancellation into another's
-failure.
+claims every stage address it must compute in the scheduler's in-flight
+book. The first claimant owns the computation; later claimants attach to
+the owner's future and settle without recomputing — counted in
+``pipeline.inflight_dedup`` and ``telemetry["inflight_dedup"]``. If an
+owner abandons a claim (cancelled or crashed mid-sweep), attached
+submissions re-claim and compute the stage themselves, so dedup never turns
+one client's cancellation into another's failure.
 
 Everything here is stdlib + the existing pipeline machinery — the executor
-pools, stage graph, result cache, metrics registry, and run ledger are the
-same objects the one-shot path uses, which is what makes the service's
+pools, stage kernels, result cache, metrics registry, and run ledger are
+the same objects the one-shot path uses, which is what makes the service's
 results bit-identical to the CLI's.
 """
 
@@ -35,25 +44,24 @@ import queue
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple, Union
 
 from ..methods.resources import HESSIAN_DIR_ENV
 from ..obs.ledger import RunLedger
 from ..obs.metrics import METRICS, merge_deltas
-from ..obs.trace import current_tracer
+from ..obs.trace import NULL_SPAN, current_tracer
 from .cache import ResultCache
 from .executor import JobOutcome, _call, make_executor
 from .progress import ProgressTracker, default_stream
 from .runner import (
     SweepResult,
     _HwStageTask,
-    _StageBook,
-    _codesign_span_tree,
     _hw_stage_kernel,
-    _lift_layers,
+    _hw_stage_task,
     _merge_codesign,
     execute_job,
-    hw_stage_hash,
+    task_key,
 )
 from .spec import ExperimentSpec, Job, SweepSpec
 
@@ -77,9 +85,11 @@ class SweepCancelled(RuntimeError):
 def sweep_digest(jobs: Sequence[Job]) -> str:
     """Order-independent content digest of a job set (the ledger's
     ``spec_digest`` — two submissions of the same grid share it)."""
-    return hashlib.sha256(
-        "\n".join(sorted(j.job_hash for j in jobs)).encode()
-    ).hexdigest()
+    return _digest(j.job_hash for j in jobs)
+
+
+def _digest(hashes: Iterable[str]) -> str:
+    return hashlib.sha256("\n".join(sorted(hashes)).encode()).hexdigest()
 
 
 class _JobFuture:
@@ -168,8 +178,10 @@ class SweepHandle:
         self.sweep_id = sweep_id
         self.sweep = sweep
         self.jobs = jobs
+        #: Each job's content hash, computed once; everything keys on these.
+        self.hashes = [j.job_hash for j in jobs]
         self.options = options
-        self.spec_digest = sweep_digest(jobs)
+        self.spec_digest = _digest(self.hashes)
         self.created_at = time.time()
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
@@ -183,7 +195,7 @@ class SweepHandle:
         self._cancel = threading.Event()
         self._result: Optional[SweepResult] = None
         self._error: Optional[Dict[str, str]] = None
-        self._job_states: Dict[str, str] = {j.job_hash: "queued" for j in jobs}
+        self._job_states: Dict[str, str] = dict.fromkeys(self.hashes, "queued")
         self._progress: Dict[str, Any] = {}
         self._events: List[Dict[str, Any]] = []
         self._subscribers: List[queue.SimpleQueue[Dict[str, Any]]] = []
@@ -268,8 +280,8 @@ class SweepHandle:
         with self._lock:
             states = dict(self._job_states)
         return [
-            {"hash": j.job_hash, "label": j.label, "state": states[j.job_hash]}
-            for j in self.jobs
+            {"hash": h, "label": j.label, "state": states[h]}
+            for j, h in zip(self.jobs, self.hashes)
         ]
 
     def events(self) -> List[Dict[str, Any]]:
@@ -358,6 +370,62 @@ class SweepHandle:
         )
 
 
+@dataclass
+class _Stage:
+    """One stage address requested in a pass: the task that computes it and
+    the unfinished jobs (in job order) waiting on it."""
+
+    key: str  # the claim address (see runner.task_key)
+    task: Any
+    runs: List[_Run] = field(default_factory=list)
+
+    @property
+    def address(self) -> str:
+        """Where the result is cached: hw stages drop the claim prefix."""
+        return self.task.stage_hash if isinstance(self.task, _HwStageTask) else self.key
+
+    @property
+    def is_own_job(self) -> bool:
+        """Whether the stage is one of the sweep's own pending jobs."""
+        return any(run.hash == self.key for run in self.runs)
+
+
+@dataclass(slots=True)
+class _Run:
+    """A pending job walking its stage list. ``staged`` marks a codesign
+    job under the canonical kernel — ``[quant, lift, hw]``, with the quant
+    metrics held in ``quant`` between passes; every other job is one stage,
+    the job itself."""
+
+    job: Job
+    hash: str
+    staged: bool
+    quant: Optional[Dict[str, Any]] = None
+    seconds: float = 0.0
+    worker: str = ""
+    spans: List[Dict[str, Any]] = field(default_factory=list)
+    attached: bool = False
+
+
+@dataclass
+class _Submission:
+    """What one running submission accumulates across its passes."""
+
+    handle: SweepHandle
+    reads: Optional[ResultCache]  # the cache to serve from (None: recompute)
+    cache: Optional[ResultCache]
+    tracker: ProgressTracker
+    outcomes: Dict[str, JobOutcome] = field(default_factory=dict)
+    # Claims this submission owns and must resolve or abandon. Abandoning on
+    # the way out (cancellation, crash) wakes attached submissions so they
+    # re-claim and recover.
+    owned: List[Tuple[str, _JobFuture]] = field(default_factory=list)
+    foreign_counters: List[Dict[str, float]] = field(default_factory=list)
+    quant_stage_hits: int = 0
+    hw_stage_hits: int = 0
+    inflight_dedup: int = 0
+
+
 class SweepScheduler:
     """The shared sweep engine behind ``run_sweep`` and ``repro-serve``.
 
@@ -415,11 +483,11 @@ class SweepScheduler:
             "stream": stream,
             "hold": hold,
         }
+        handle = SweepHandle("", sweep, jobs, options)
         with self._lock:
             self._counter += 1
-            sweep_id = f"sw-{self._counter:04d}-{sweep_digest(jobs)[:8]}"
-            handle = SweepHandle(sweep_id, sweep, jobs, options)
-            self._handles[sweep_id] = handle
+            handle.sweep_id = f"sw-{self._counter:04d}-{handle.spec_digest[:8]}"
+            self._handles[handle.sweep_id] = handle
         return handle
 
     def submit(self, sweep, **options) -> SweepHandle:
@@ -559,34 +627,11 @@ class SweepScheduler:
         if handle.cancelled:
             raise SweepCancelled(f"sweep {handle.sweep_id} was cancelled")
 
-    def _await_future(
-        self,
-        key: str,
-        fut: _JobFuture,
-        handle: SweepHandle,
-        compute: Callable[[], JobOutcome],
-    ) -> Tuple[JobOutcome, bool]:
-        """Wait for another submission's in-flight result; returns
-        ``(outcome, attached)``. If the owner abandons the claim, re-claim
-        and compute here (``attached=False``) so dedup never propagates a
-        neighbor's cancellation."""
-        while True:
-            while not fut.wait(0.05):
-                self._check_cancel(handle)
-            if fut.outcome is not None:
-                return fut.outcome, True
-            fut, owner = self._inflight.claim(key)
-            if owner:
-                outcome = compute()
-                self._inflight.resolve(key, outcome)
-                return outcome, False
-
     def _execute(self, handle: SweepHandle) -> SweepResult:
         opts = handle.options
         jobs = handle.jobs
         executor: str = opts["executor"]
         workers: Optional[int] = opts["workers"]
-        recompute: bool = opts["recompute"]
         kernel = opts["kernel"]
         cache = ResultCache(self.cache_dir) if self.cache_dir is not None else None
         if cache is not None:
@@ -604,208 +649,60 @@ class SweepScheduler:
         tracer = current_tracer()
         started_at = time.time()
         counters_before = METRICS.snapshot()
-        my_pid = f"pid-{os.getpid()}"
-        foreign_counters: List[Dict[str, float]] = []
         tracker = ProgressTracker(
             total=len(jobs),
             stream=opts.get("stream"),
             sinks=(handle._progress_sink,),
         )
-        book = _StageBook(cache, recompute)
-        staged = kernel is execute_job  # custom kernels own codesign semantics
-        inflight_attached = 0
-        # Claims this submission owns and must resolve or abandon:
-        # (key, future) pairs. Abandoning on the way out (cancellation,
-        # crash) wakes attached submissions so they re-claim and recover.
-        owned: List[Tuple[str, _JobFuture]] = []
+        sub = _Submission(handle, None if opts["recompute"] else cache, cache, tracker)
 
         try:
-            outcomes: Dict[str, JobOutcome] = {}
-            pending: List[Job] = []
-            for job in jobs:
+            runs: List[_Run] = []
+            for job, h in zip(jobs, handle.hashes):
                 self._check_cancel(handle)
-                if cache is None or recompute:
-                    record, lookup_s = None, 0.0
-                else:
+                record, lookup_s = None, 0.0
+                if sub.reads is not None:
                     t0 = time.perf_counter()
-                    record = cache.get(job.job_hash)
+                    record = sub.reads.get(h)
                     lookup_s = time.perf_counter() - t0
                 if record is not None and record.get("metrics") is not None:
-                    outcomes[job.job_hash] = JobOutcome(
+                    sub.outcomes[h] = JobOutcome(
                         job,
                         metrics=record["metrics"],
                         seconds=float(record.get("seconds", 0.0)),
                         from_cache=True,
                     )
                     tracker.update(
-                        from_cache=True, seconds=lookup_s, label=job.label,
-                        job_hash=job.job_hash,
+                        from_cache=True, seconds=lookup_s, label=job.label, job_hash=h,
                     )
-                else:
-                    pending.append(job)
-
-            codesign = [
-                j for j in pending if staged and j.spec.job_kind == "codesign"
-            ]
-            phase1 = [
-                j for j in pending if not (staged and j.spec.job_kind == "codesign")
-            ]
-
-            # Quant stages the codesign jobs need, beyond what phase 1 already
-            # runs: an identical accuracy job pending (or cached) in this very
-            # sweep serves as the stage — the content hash is the same.
-            phase1_hashes = {j.job_hash for j in phase1}
-            stage_extra: Dict[str, Job] = {}
-            for j in codesign:
-                qjob = j.quant_stage()
-                qh = qjob.job_hash
-                if qh in book.quant_results:  # claimed by an earlier codesign job
-                    book.quant_stage_hits += 1
-                    continue
-                if qh in outcomes:  # the sweep's own accuracy cell, from cache
-                    metrics = outcomes[qh].metrics
-                    if metrics and metrics.get("layers"):
-                        book.quant_results[qh] = metrics
-                        book.quant_stage_hits += 1
-                        continue
-                if qh in phase1_hashes or qh in stage_extra:
-                    # Already being computed this sweep (as the sweep's own
-                    # accuracy job, or for an earlier codesign sibling).
-                    book.quant_stage_hits += 1
-                    continue
-                cached = book.lookup_quant(qjob)
-                if cached is not None:
-                    book.quant_results[qh] = cached
-                    book.quant_stage_hits += 1
-                else:
-                    stage_extra[qh] = qjob
-
-            quant_needed = {j.quant_stage().job_hash for j in codesign}
-            phase1_all = phase1 + list(stage_extra.values())
-
-            # Claim every pending job before dispatching any of them: the
-            # first claimant computes, concurrent submissions attach. Placing
-            # all claims up front maximizes the dedup window (a submission
-            # arriving mid-pool still attaches to unstarted jobs).
-            own_jobs: List[Job] = []
-            attached_jobs: List[Tuple[Job, _JobFuture]] = []
-            for job in phase1_all:
-                fut, owner = self._inflight.claim(job.job_hash)
-                if owner:
-                    own_jobs.append(job)
-                    owned.append((job.job_hash, fut))
-                else:
-                    attached_jobs.append((job, fut))
-                    inflight_attached += 1
-                    METRICS.incr("pipeline.inflight_dedup")
-            handle.claimed.set()
-
-            hold = opts.get("hold")
-            if hold is not None:  # test hook: freeze here, claims placed
-                while not hold.wait(0.02):
-                    self._check_cancel(handle)
-
-            if own_jobs:
-                # One pending job can't use a pool; don't pay fork/setup.
-                name = (
-                    "serial"
-                    if (executor == "auto" and len(own_jobs) == 1)
-                    else executor
-                )
-                pool = make_executor(name, workers)
-                for outcome in pool.run(kernel, own_jobs):
-                    h = outcome.job.job_hash
-                    if outcome.counters and outcome.worker != my_pid:
-                        foreign_counters.append(outcome.counters)
-                    # Failures are never cached: a fixed kernel or environment
-                    # should recompute them on the next sweep instead of
-                    # replaying the error.
-                    if cache is not None and outcome.ok:
-                        cache.put(h, outcome.record())
-                    self._inflight.resolve(h, outcome)
-                    if h in quant_needed:
-                        if outcome.ok:
-                            book.quant_results[h] = outcome.metrics
-                            if outcome.spans:
-                                book.quant_spans[h] = outcome.spans
-                        else:
-                            book.quant_errors[h] = outcome.error
-                    if h in phase1_hashes:
-                        outcomes[h] = outcome
-                        tracker.update(
-                            from_cache=False,
-                            ok=outcome.ok,
-                            seconds=outcome.seconds,
-                            label=outcome.job.label,
-                            error_type=(outcome.error or {}).get("type", ""),
-                            job_hash=h,
-                        )
-                    self._check_cancel(handle)
-
-            # Settle jobs served by other submissions' in-flight executions.
-            # Waiting after our own pool keeps this deadlock-free: owners
-            # resolve from their pool loops, which never wait on attachments.
-            for job, fut in attached_jobs:
-                self._check_cancel(handle)
-                outcome, was_attached = self._await_future(
-                    job.job_hash, fut, handle,
-                    compute=lambda job=job: self._compute_single(kernel, job, cache),
-                )
-                h = job.job_hash
-                if h in quant_needed:
-                    if outcome.ok:
-                        book.quant_results[h] = outcome.metrics
-                    else:
-                        book.quant_errors[h] = outcome.error
-                if h in phase1_hashes:
-                    if was_attached:
-                        # Mirror the neighbor's outcome under our own Job;
-                        # zero seconds — the work happened once, elsewhere.
-                        mirrored = JobOutcome(
-                            job,
-                            metrics=outcome.metrics,
-                            error=outcome.error,
-                            seconds=0.0,
-                            from_cache=outcome.ok,
-                        )
-                    else:
-                        mirrored = outcome
-                    outcomes[h] = mirrored
-                    tracker.update(
-                        from_cache=mirrored.from_cache and not was_attached,
-                        ok=outcome.ok,
-                        seconds=mirrored.seconds,
-                        label=job.label,
-                        error_type=(outcome.error or {}).get("type", ""),
-                        job_hash=h,
-                        attached=was_attached,
-                    )
-
-            if codesign:
-                self._check_cancel(handle)
-                inflight_attached += self._run_codesign_phase(
-                    handle, codesign, book, outcomes, tracker,
-                    executor, workers, foreign_counters, owned,
-                )
+                else:  # a custom kernel runs codesign jobs whole, as one stage
+                    staged = kernel is execute_job and job.spec.job_kind == "codesign"
+                    runs.append(_Run(job, h, staged))
+            # A job's first stage runs the sweep's kernel; only codesign jobs
+            # have a second, the lifted hardware stage.
+            for fn in (kernel, _hw_stage_kernel):
+                self._advance(sub, fn, runs)
+                runs = [r for r in runs if r.hash not in sub.outcomes]
         finally:
-            for key, fut in owned:
+            for key, fut in sub.owned:
                 if not fut.done:
                     self._inflight.abandon(key, fut)
 
+        outcomes = [sub.outcomes[h] for h in handle.hashes]
         telemetry = tracker.finish()
         telemetry["executor"] = executor
-        telemetry["quant_stage_hits"] = book.quant_stage_hits
-        telemetry["hw_stage_hits"] = book.hw_stage_hits
-        telemetry["inflight_dedup"] = inflight_attached
+        telemetry["quant_stage_hits"] = sub.quant_stage_hits
+        telemetry["hw_stage_hits"] = sub.hw_stage_hits
+        telemetry["inflight_dedup"] = sub.inflight_dedup
         telemetry["sweep_id"] = handle.sweep_id
         # Publish the sweep-level counters, then report this run's delta —
         # local activity plus whatever foreign pool workers shipped back.
         METRICS.incr("pipeline.jobs_computed", tracker.computed)
-        if book.quant_stage_hits:
-            METRICS.incr("pipeline.quant_stage_hits", book.quant_stage_hits)
-        if book.hw_stage_hits:
-            METRICS.incr("pipeline.hw_stage_hits", book.hw_stage_hits)
-        counters = merge_deltas(METRICS.delta(counters_before), *foreign_counters)
+        if sub.quant_stage_hits:
+            METRICS.incr("pipeline.quant_stage_hits", sub.quant_stage_hits)
+        if sub.hw_stage_hits:
+            METRICS.incr("pipeline.hw_stage_hits", sub.hw_stage_hits)
+        counters = merge_deltas(METRICS.delta(counters_before), *sub.foreign_counters)
         telemetry["counters"] = counters
         telemetry["hessian"] = {
             key: int(counters.get(f"hessian.store.{key}", 0))
@@ -820,22 +717,14 @@ class SweepScheduler:
                 "name": "sweep",
                 "attrs": {"executor": executor, "n_jobs": len(jobs)},
                 "seconds": round(time.time() - started_at, 6),
-                "children": [
-                    outcomes[j.job_hash].spans
-                    for j in jobs
-                    if outcomes[j.job_hash].spans
-                ],
+                "children": [o.spans for o in outcomes if o.spans],
             }
-        result = SweepResult(
-            jobs=jobs,
-            outcomes=[outcomes[j.job_hash] for j in jobs],
-            telemetry=telemetry,
-        )
+        result = SweepResult(jobs=jobs, outcomes=outcomes, telemetry=telemetry)
         if cache is not None:
             ledger_jobs = []
-            for o in result.outcomes:
+            for o, h in zip(outcomes, handle.hashes):
                 entry = {
-                    "hash": o.job.job_hash,
+                    "hash": h,
                     "label": o.job.label,
                     "kind": o.job.spec.job_kind,
                     "ok": o.ok,
@@ -861,182 +750,206 @@ class SweepScheduler:
                 "n_jobs": len(jobs),
                 "cache_hits": tracker.cache_hits,
                 "failures": tracker.failures,
-                "quant_stage_hits": book.quant_stage_hits,
-                "hw_stage_hits": book.hw_stage_hits,
+                "quant_stage_hits": sub.quant_stage_hits,
+                "hw_stage_hits": sub.hw_stage_hits,
                 "traced": tracer is not None,
                 "counters": counters,
                 "jobs": ledger_jobs,
                 "spans": spans_tree,
             }
-            if inflight_attached:
-                record["inflight_dedup"] = inflight_attached
+            if sub.inflight_dedup:
+                record["inflight_dedup"] = sub.inflight_dedup
             if opts.get("label"):
                 record["label"] = opts["label"]
             telemetry["run_id"] = RunLedger(cache.root / "runs").append(record)
         return result
 
-    def _compute_single(
-        self,
-        kernel: Callable[[Job], Dict[str, Any]],
-        job: Job,
-        cache: Optional[ResultCache],
-    ) -> JobOutcome:
-        """Recovery path for an abandoned claim: compute one job inline."""
-        outcome = _call(kernel, job)
-        if cache is not None and outcome.ok:
-            cache.put(job.job_hash, outcome.record())
-        return outcome
+    def _advance(
+        self, sub: _Submission, fn: Callable[[Any], Dict[str, Any]], runs: List[_Run]
+    ) -> None:
+        """Move every unfinished job one stage forward — the one path every
+        job kind takes: dedup the requested stages by address, serve what
+        the sweep already read or the cache holds, claim the rest, run the
+        owned ones on one pool, then await the attached ones."""
+        handle = sub.handle
+        stages: Dict[str, _Stage] = {}
+        for run in runs:
+            if not run.staged:
+                key, task = run.hash, run.job
+            elif run.quant is None:
+                task = run.job.quant_stage()
+                key = task.job_hash
+            else:  # the lift, in-process: build the job's hardware stage
+                tracer = current_tracer()
+                attrs = {"family": run.job.spec.family, "arch": run.job.spec.arch}
+                lift = tracer.capture("stage:lift", **attrs) if tracer else NULL_SPAN
+                try:
+                    with lift:
+                        task = _hw_stage_task(run.job, run.quant)
+                except RuntimeError as exc:  # the quant stage left nothing to lift
+                    self._settle(sub, run, JobOutcome(run.job, error={
+                        "type": "RuntimeError", "message": str(exc), "traceback": "",
+                    }))
+                    continue
+                if tracer:
+                    run.spans.append(lift.to_dict())
+                key = task_key(task)
+            stage = stages.get(key)
+            if stage is None:
+                stage = stages[key] = _Stage(key, task)
+            elif key == run.hash:  # the sweep's own job doubles as the stage
+                stage.task = task
+            stage.runs.append(run)
 
-    def _run_codesign_phase(
-        self,
-        handle: SweepHandle,
-        codesign: List[Job],
-        book: _StageBook,
-        outcomes: Dict[str, JobOutcome],
-        tracker: ProgressTracker,
-        executor: str,
-        workers: Optional[int],
-        foreign_counters: List[Dict[str, float]],
-        owned: List[Tuple[str, _JobFuture]],
-    ) -> int:
-        """Phase 2: lift each codesign job's quant-stage result, serve or
-        simulate its hardware stage, merge, cache, and record the outcome.
-        Returns the number of stages attached to other submissions'
-        in-flight simulations."""
-        traced_run = current_tracer() is not None
-        my_pid = f"pid-{os.getpid()}"
-        lift_spans: Dict[str, Dict[str, Any]] = {}  # by job hash
-        attached_count = 0
-
-        def settle(job: Job, outcome: JobOutcome, attached: bool = False) -> None:
-            if book.cache is not None and outcome.ok and not attached:
-                book.cache.put(job.job_hash, outcome.record())
-            outcomes[job.job_hash] = outcome
-            tracker.update(
-                from_cache=False, ok=outcome.ok, seconds=outcome.seconds,
-                label=job.label,
-                error_type=(outcome.error or {}).get("type", ""),
-                job_hash=job.job_hash,
-                attached=attached,
-            )
-
-        def fail(job: Job, error: Dict[str, str]) -> None:
-            settle(job, JobOutcome(job, error=dict(error)))
-
-        def merge(
-            job: Job,
-            hw_metrics: Dict[str, Any],
-            seconds: float,
-            hw_span: Optional[Dict[str, Any]] = None,
-            attached: bool = False,
-        ) -> None:
-            quant = book.quant_results[job.quant_stage().job_hash]
-            metrics = _merge_codesign(job, quant, hw_metrics)
-            spans = (
-                _codesign_span_tree(job, book, lift_spans.get(job.job_hash), hw_span)
-                if traced_run
-                else None
-            )
-            settle(
-                job,
-                JobOutcome(job, metrics=metrics, seconds=seconds, spans=spans),
-                attached=attached,
-            )
-
-        # Pending stages dedup in-sweep by stage hash, like quant stages do:
-        # jobs whose lifts landed on the same address share one simulation.
-        # Cross-submission, the stage hash is claimed in the in-flight book
-        # under an "hw:" prefix (job and stage addresses live in different
-        # namespaces).
-        pending_by_hash: Dict[str, List[Job]] = {}
-        tasks: List[_HwStageTask] = []
-        attached_stages: List[Tuple[_HwStageTask, _JobFuture]] = []
-        for job in codesign:
-            qh = job.quant_stage().job_hash
-            if qh in book.quant_errors:
-                fail(job, book.quant_errors[qh])
+        # Claim every stage before dispatching any: placing all claims up
+        # front maximizes the dedup window (a submission arriving mid-pool
+        # still attaches to unstarted stages).
+        own: List[_Stage] = []
+        waits: List[Tuple[_Stage, _JobFuture]] = []
+        for stage in stages.values():
+            metrics = self._served(sub, stage)
+            if metrics is not None:
+                self._land(sub, stage, JobOutcome(stage.task, metrics=metrics))
                 continue
-            quant = book.quant_results.get(qh)
-            if quant is None:  # phase 1 never produced it (shouldn't happen)
-                fail(job, {"type": "RuntimeError",
-                           "message": f"quant stage {qh} missing", "traceback": ""})
-                continue
-            t0 = time.perf_counter()
-            try:
-                layers = _lift_layers(quant, job)
-            except RuntimeError as exc:
-                fail(job, {"type": "RuntimeError", "message": str(exc),
-                           "traceback": ""})
-                continue
-            hh = hw_stage_hash(job.spec, layers, job.version)
-            if traced_run:
-                lift_spans[job.job_hash] = {
-                    "name": "stage:lift",
-                    "attrs": {"family": job.spec.family, "arch": job.spec.arch},
-                    "seconds": round(time.perf_counter() - t0, 6),
-                    "children": [],
-                }
-            hw_metrics = book.lookup_hw(hh)
-            if hw_metrics is not None:
-                book.hw_stage_hits += 1
-                merge(job, hw_metrics, seconds=0.0)
-                continue
-            sharers = pending_by_hash.setdefault(hh, [])
-            if sharers:
-                book.hw_stage_hits += 1  # shares a sibling's pending simulation
+            fut, owner = self._inflight.claim(stage.key)
+            if owner:
+                own.append(stage)
+                sub.owned.append((stage.key, fut))
             else:
-                task = _HwStageTask(job, hh, _HwStageTask.pack_layers(layers))
-                fut, owner = self._inflight.claim("hw:" + hh)
-                if owner:
-                    tasks.append(task)
-                    owned.append(("hw:" + hh, fut))
-                else:
-                    attached_stages.append((task, fut))
-                    attached_count += 1
-                    METRICS.incr("pipeline.inflight_dedup")
-            sharers.append(job)
+                waits.append((stage, fut))
+                sub.inflight_dedup += 1
+                METRICS.incr("pipeline.inflight_dedup")
+        if not handle.claimed.is_set():
+            handle.claimed.set()
+            hold = handle.options.get("hold")
+            if hold is not None:  # test hook: freeze here, claims placed
+                while not hold.wait(0.02):
+                    self._check_cancel(handle)
 
-        if tasks:
-            name = "serial" if (executor == "auto" and len(tasks) == 1) else executor
-            pool = make_executor(name, workers)
-            for outcome in pool.run(_hw_stage_kernel, tasks):
-                task: _HwStageTask = outcome.job  # the executor echoes it back
-                if outcome.counters and outcome.worker != my_pid:
-                    foreign_counters.append(outcome.counters)
-                self._inflight.resolve("hw:" + task.stage_hash, outcome)
-                for job in pending_by_hash[task.stage_hash]:
-                    if not outcome.ok:
-                        fail(job, outcome.error)
-                    else:
-                        # Attribute the stage's seconds to the task's owning
-                        # job only (sharers get 0.0 — the work happened once).
-                        # Compare by hash: a process pool echoes back a
-                        # pickled *copy* of the task, so object identity would
-                        # attribute the time to nobody.
-                        is_owner = job.job_hash == task.job.job_hash
-                        merge(job, outcome.metrics,
-                              seconds=outcome.seconds if is_owner else 0.0,
-                              hw_span=outcome.spans)
-                if outcome.ok:
-                    book.store_hw(task.stage_hash, task.job, outcome.metrics,
-                                  outcome.seconds)
+        if own:
+            # One stage can't use a pool; don't pay fork/setup.
+            executor = handle.options["executor"]
+            name = "serial" if executor == "auto" and len(own) == 1 else executor
+            pool = make_executor(name, handle.options["workers"])
+            for outcome in pool.run(fn, [stage.task for stage in own]):
+                self._land(sub, stages[task_key(outcome.job)], outcome, fresh=True)
                 self._check_cancel(handle)
-
-        for task, fut in attached_stages:
+        # Waiting after our own pool keeps this deadlock-free: owners resolve
+        # from their pool loops, which never wait on attachments.
+        for stage, fut in waits:
             self._check_cancel(handle)
-            outcome, was_attached = self._await_future(
-                "hw:" + task.stage_hash, fut, handle,
-                compute=lambda task=task: _call(_hw_stage_kernel, task),
-            )
-            if not was_attached and outcome.ok:
-                book.store_hw(task.stage_hash, task.job, outcome.metrics,
-                              outcome.seconds)
-            for job in pending_by_hash[task.stage_hash]:
-                if not outcome.ok:
-                    fail(job, outcome.error)
+            outcome, attached = self._await_future(sub, stage, fut, fn)
+            self._land(sub, stage, outcome, fresh=not attached, attached=attached)
+
+    def _served(self, sub: _Submission, stage: _Stage) -> Optional[Dict[str, Any]]:
+        """A stage result the sweep already read or the cache holds, if
+        usable — a quant stage must carry the layer statistics to lift
+        (older records recompute, refreshing the cell)."""
+        if stage.key in sub.outcomes:  # one of the sweep's own cached jobs
+            metrics = sub.outcomes[stage.key].metrics
+        elif sub.reads is None or stage.is_own_job:
+            return None  # the sweep read its own pending job and missed
+        else:
+            metrics = (sub.reads.get(stage.address) or {}).get("metrics")
+        if metrics and (isinstance(stage.task, _HwStageTask) or metrics.get("layers")):
+            return metrics
+        return None
+
+    def _land(
+        self,
+        sub: _Submission,
+        stage: _Stage,
+        outcome: JobOutcome,
+        fresh: bool = False,
+        attached: bool = False,
+    ) -> None:
+        """A stage result arrived — served (neither flag), computed here
+        (``fresh``), or from another submission (``attached``): cache a
+        fresh one before resolving its claim, then hand it to every job
+        that asked for it."""
+        task = stage.task
+        if fresh:
+            if outcome.counters and outcome.worker != f"pid-{os.getpid()}":
+                sub.foreign_counters.append(outcome.counters)
+            # Failures are never cached: a fixed kernel or environment should
+            # recompute them on the next sweep instead of replaying the error.
+            if sub.cache is not None and outcome.ok:
+                hw = isinstance(task, _HwStageTask)
+                sub.cache.put(stage.address, task.record(outcome) if hw else outcome.record())
+            self._inflight.resolve(stage.key, outcome)
+        # A codesign job's stage is a hit unless the job is the first to
+        # consume a stage dispatched for it that is not one of the sweep's
+        # own jobs.
+        dispatched = fresh or attached
+        own_job = stage.is_own_job
+        for i, run in enumerate(stage.runs):
+            if run.staged and not (dispatched and i == 0 and not own_job):
+                if run.quant is None:
+                    sub.quant_stage_hits += 1
                 else:
-                    merge(job, outcome.metrics,
-                          seconds=0.0 if was_attached else outcome.seconds,
-                          hw_span=None if was_attached else outcome.spans,
-                          attached=was_attached)
-        return attached_count
+                    sub.hw_stage_hits += 1
+            if fresh and i == 0:  # the work happened once: one job carries it
+                run.seconds += outcome.seconds
+                run.worker = outcome.worker
+                if outcome.spans:
+                    run.spans.append(outcome.spans)
+            run.attached = attached
+            if not outcome.ok or not run.staged:
+                self._settle(sub, run, outcome)
+            elif run.quant is None:
+                run.quant = outcome.metrics  # lifted on the next pass
+            else:
+                metrics = _merge_codesign(run.job, run.quant, outcome.metrics)
+                self._settle(sub, run, JobOutcome(run.job, metrics=metrics))
+
+    def _settle(self, sub: _Submission, run: _Run, outcome: JobOutcome) -> None:
+        """A job is finished: record its outcome, cache a merged codesign
+        result, and report it."""
+        spans = run.spans[0] if run.spans else None
+        if run.staged and run.spans:
+            children = [c for node in run.spans for c in node.get("children") or [node]]
+            attrs = {"label": run.job.label, "hash": run.hash, "kind": "codesign", "staged": True}
+            spans = {
+                "name": "job",
+                "attrs": attrs,
+                "seconds": round(sum(float(c.get("seconds", 0.0)) for c in children), 6),
+                "children": children,
+            }
+        settled = JobOutcome(
+            run.job,
+            metrics=outcome.metrics,
+            error=None if outcome.ok else dict(outcome.error),
+            seconds=run.seconds,
+            from_cache=outcome.ok and (run.attached or outcome.from_cache),
+            worker=run.worker,
+            spans=spans,
+        )
+        if run.staged and settled.ok and sub.cache is not None:
+            sub.cache.put(run.hash, settled.record())
+        sub.outcomes[run.hash] = settled
+        sub.tracker.update(
+            from_cache=False, ok=settled.ok, seconds=settled.seconds, label=run.job.label,
+            error_type=(settled.error or {}).get("type", ""), job_hash=run.hash,
+            attached=run.attached,
+        )
+
+    def _await_future(
+        self,
+        sub: _Submission,
+        stage: _Stage,
+        fut: _JobFuture,
+        fn: Callable[[Any], Dict[str, Any]],
+    ) -> Tuple[JobOutcome, bool]:
+        """Wait for another submission's in-flight stage; returns
+        ``(outcome, attached)``. If the owner abandons the claim, re-claim
+        and compute here (``attached=False``) so dedup never propagates a
+        neighbor's cancellation."""
+        while True:
+            while not fut.wait(0.05):
+                self._check_cancel(sub.handle)
+            if fut.outcome is not None:
+                return fut.outcome, True
+            fut, owner = self._inflight.claim(stage.key)
+            if owner:
+                sub.owned.append((stage.key, fut))
+                return _call(fn, stage.task), False

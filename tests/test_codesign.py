@@ -62,6 +62,17 @@ def _accuracy_sweep(**kw) -> SweepSpec:
     return SweepSpec(families=(FAMILY,), methods=("microscopiq",), w_bits=(4,), **kw)
 
 
+def _two_arch_sweep() -> SweepSpec:
+    """Two codesign jobs sharing one quant stage, each with its own hw stage."""
+    return SweepSpec(
+        families=(FAMILY,),
+        methods=("microscopiq",),
+        w_bits=(4,),
+        archs=(ARCH, "microscopiq-v1"),
+        kind="codesign",
+    )
+
+
 # ------------------------------------------------------------- spec validity
 
 
@@ -340,19 +351,105 @@ class TestStageCaching:
         assert m0["quant_stage_hash"] != m9["quant_stage_hash"]
         assert m0["latency_ms"] == m9["latency_ms"]
 
-    def test_mixed_sweep_computes_the_shared_quant_stage_once(self, tmp_path):
-        """One sweep holding the accuracy job AND its codesign twin: the
-        accuracy cell doubles as the quant stage, so the store ends up with
-        exactly accuracy + codesign + hw-stage records."""
+    @pytest.mark.parametrize(
+        "accuracy_first", [True, False], ids=["accuracy-first", "codesign-first"]
+    )
+    def test_mixed_sweep_computes_the_shared_quant_stage_once(
+        self, tmp_path, accuracy_first
+    ):
+        """One sweep holding the accuracy job AND its codesign twin, in
+        either order: the accuracy cell doubles as the quant stage, so the
+        store ends up with exactly accuracy + codesign + hw-stage records."""
         cache = tmp_path / "cache"
         acc_spec = ExperimentSpec(family=FAMILY, method="microscopiq", w_bits=4)
         cd_spec = acc_spec.with_(arch=ARCH, kind="codesign")
-        result = run_sweep([acc_spec, cd_spec], cache_dir=str(cache),
-                           executor="serial")
+        specs = [acc_spec, cd_spec] if accuracy_first else [cd_spec, acc_spec]
+        result = run_sweep(specs, cache_dir=str(cache), executor="serial")
         assert result.ok and len(result.outcomes) == 2
         assert result[acc_spec]["ppl"] == result[cd_spec]["ppl"]
+        assert result.telemetry["quant_stage_hits"] == 1
         entries = list(ResultCache(cache).entries())
         assert len(entries) == 3
+
+    def test_failing_quant_stage_fails_every_consumer(self, tmp_path, monkeypatch):
+        """A quant stage that raises fails both codesign jobs built on it
+        with its error type, caches nothing, and recomputes once fixed."""
+        import repro.eval.harness as harness
+
+        def broken(**kwargs):
+            raise ValueError("injected quant-stage failure")
+
+        monkeypatch.setattr(harness, "evaluate_setting", broken)
+        cache = str(tmp_path / "cache")
+        sweep = _two_arch_sweep()
+        result = run_sweep(sweep, cache_dir=cache, executor="serial")
+        assert len(result.failures()) == len(result.outcomes) == 2
+        assert {o.error["type"] for o in result.outcomes} == {"ValueError"}
+        store = ResultCache(cache)
+        for job in sweep.jobs():
+            assert store.get(job.job_hash) is None
+            assert store.get(job.quant_stage().job_hash) is None
+
+        monkeypatch.undo()
+        rerun = run_sweep(sweep, cache_dir=cache, executor="serial")
+        assert rerun.ok, rerun.failures()
+        assert rerun.cache_hits == 0 and rerun.telemetry["computed"] == 2
+
+    def test_quant_stage_without_layers_fails_the_lift(self, tmp_path, monkeypatch):
+        """Quant metrics with nothing to lift fail each codesign job with a
+        RuntimeError naming the method, and no job record is cached."""
+        import repro.eval.harness as harness
+
+        real = harness.evaluate_setting
+
+        def without_layers(**kwargs):
+            metrics = dict(real(**kwargs))
+            metrics.pop("layers", None)
+            return metrics
+
+        monkeypatch.setattr(harness, "evaluate_setting", without_layers)
+        cache = str(tmp_path / "cache")
+        result = run_sweep(_two_arch_sweep(), cache_dir=cache, executor="serial")
+        assert len(result.failures()) == len(result.outcomes) == 2
+        store = ResultCache(cache)
+        for o in result.outcomes:
+            assert o.error["type"] == "RuntimeError"
+            assert "'microscopiq'" in o.error["message"]
+            assert store.get(o.job.job_hash) is None
+
+    def test_accuracy_record_without_layers_is_recomputed(self, tmp_path):
+        """A cached accuracy cell that predates the lift cannot serve as a
+        quant stage: the codesign sweep recomputes it once, shares it
+        between its two jobs, and refreshes the record."""
+        cache = str(tmp_path / "cache")
+        acc = run_sweep(_accuracy_sweep(), cache_dir=cache, executor="serial")
+        assert acc.ok
+        (job,) = acc.jobs
+        store = ResultCache(cache)
+        record = store.get(job.job_hash)
+        del record["metrics"]["layers"]
+        store.put(job.job_hash, record)
+
+        cd = run_sweep(_two_arch_sweep(), cache_dir=cache, executor="serial")
+        assert cd.ok, cd.failures()
+        assert cd.telemetry["quant_stage_hits"] == 1
+        assert store.get(job.job_hash)["metrics"]["layers"]
+
+    def test_job_seconds_account_for_every_fresh_stage(self, tmp_path):
+        """Each stage computed this sweep lands its seconds on exactly one
+        job, so the jobs' seconds add up to the stage records' and
+        ``compute_s`` reports the quant stage too."""
+        cache = str(tmp_path / "cache")
+        result = run_sweep(_two_arch_sweep(), cache_dir=cache, executor="serial")
+        assert result.ok and result.telemetry["computed"] == 2
+        store = ResultCache(cache)
+        stage_hashes = {o.metrics["quant_stage_hash"] for o in result.outcomes}
+        stage_hashes |= {o.metrics["hw_stage_hash"] for o in result.outcomes}
+        assert len(stage_hashes) == 3
+        stage_s = sum(float(store.get(h)["seconds"]) for h in stage_hashes)
+        job_s = sum(o.seconds for o in result.outcomes)
+        assert job_s == pytest.approx(stage_s, rel=1e-9)
+        assert result.telemetry["compute_s"] == pytest.approx(job_s, abs=5e-4)
 
     def test_fixed_format_archs_keep_their_stored_ebw(self, tmp_path):
         """GOBO stores every weight at 15.6 bits whatever the lift measured:

@@ -198,6 +198,9 @@ class TestEnvWiring:
         from repro.pipeline import ExperimentSpec, run_sweep
 
         monkeypatch.delenv(HESSIAN_DIR_ENV, raising=False)
+        # An earlier test in the process may already hold this Hessian in
+        # the process-wide store, and then no blob would be written.
+        default_hessian_store().clear()
         cache = tmp_path / "cache"
         spec = ExperimentSpec(
             family="opt-6.7b", method="gptq", w_bits=4,

@@ -164,6 +164,43 @@ class TestInflightDedup:
         assert delta.get("hessian.store.factorizations") == one_run_cost
         assert rb.telemetry["computed"] == 0
 
+    def test_concurrent_identical_codesign_submissions_share_stages(
+        self, tmp_path, scheduler
+    ):
+        """Codesign jobs dedup stage by stage: B attaches to the quant stage
+        A holds in flight, and the pair pays one cold run's factorizations
+        for bit-identical merged metrics."""
+        spec = small_spec(
+            methods=("microscopiq",), archs=("microscopiq-v2",), kind="codesign"
+        )
+        from repro.methods.resources import default_hessian_store
+
+        default_hessian_store().clear()
+        ref_before = METRICS.snapshot()
+        run_sweep(spec, cache_dir=tmp_path / "ref", executor="serial",
+                  progress=False)
+        one_run_cost = METRICS.delta(ref_before).get(
+            "hessian.store.factorizations", 0
+        )
+        assert one_run_cost > 0
+        default_hessian_store().clear()
+
+        hold = threading.Event()
+        before = METRICS.snapshot()
+        a = scheduler.submit(spec, hold=hold)
+        assert a.claimed.wait(timeout=60), "A never placed its claims"
+        b = scheduler.submit(spec)
+        assert not b.finished.wait(timeout=0.3)
+        hold.set()
+        ra = a.result(timeout=120)
+        rb = b.result(timeout=120)
+
+        assert ra.ok and rb.ok
+        assert ra.metrics_by_hash() == rb.metrics_by_hash()
+        assert rb.telemetry["inflight_dedup"] >= 1
+        delta = METRICS.delta(before)
+        assert delta.get("hessian.store.factorizations") == one_run_cost
+
     def test_dedup_across_http_and_direct_clients(self, server):
         """The hybrid case from the issue: one client holds a submission via
         the scheduler, a second identical submission arrives over HTTP."""
