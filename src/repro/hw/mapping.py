@@ -43,6 +43,12 @@ class LayerSpec:
     count: int = 1  # identical instances of this layer in the model
 
     def __post_init__(self) -> None:
+        for field in ("d_out", "d_in", "micro_block"):
+            value = getattr(self, field)
+            if value < 1:
+                raise ValueError(f"{field} must be >= 1, got {value}")
+        if not (self.ebw > 0 and np.isfinite(self.ebw)):
+            raise ValueError(f"ebw must be finite and > 0, got {self.ebw}")
         if not 0.0 <= self.outlier_ub_fraction <= 1.0:
             raise ValueError(
                 f"outlier_ub_fraction must be in [0, 1], got {self.outlier_ub_fraction}"

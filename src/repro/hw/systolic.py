@@ -8,7 +8,7 @@ Weight-stationary execution of ``y[M, d_out] = x[M, d_in] @ W^T``:
   a layer's compute time is one pipeline fill plus ``n_tiles × M`` streaming
   cycles plus any ReCoN stall;
 * PE rows holding outlier μBs (packed into the fewest rows by the
-  scheduler, see :mod:`repro.accelerator.mapping`) detour their output
+  scheduler, see :mod:`repro.hw.mapping`) detour their output
   vectors through ReCoN. ReCoN units are shared and accept one row-vector
   per cycle; requests from overlapping rows — and from consecutive tiles
   whose issue period is shorter than the row spread — queue at the
@@ -105,19 +105,23 @@ def _build_arrivals(
     The scheduler rotates outlier-row placement from tile to tile (a
     golden-ratio phase) so consecutive tiles' requests do not land on
     systematically colliding cycles — collisions that do occur are the
-    residual conflicts Fig. 16(b) measures."""
+    residual conflicts Fig. 16(b) measures.
+
+    Built as a difference array: every (tile, row) request burst adds +1
+    at its start cycle and −1 ``m`` cycles later, and a prefix sum turns
+    that into per-cycle counts. The counts are integers, so the timeline
+    is exact — the same as incrementing each burst's slice one by one."""
     horizon = (n_tiles - 1) * period + tile_rows + m + 5
-    arrivals = np.zeros(horizon, dtype=np.int64)
-    for t in range(n_tiles):
-        base = t * period
-        shift = (t * 23) % max(1, tile_rows)
-        for off in offsets:
-            # Sync-buffer depth differences add a few cycles of arrival
-            # jitter (deterministic hash, reproducible across runs).
-            jitter = (t * 7 + int(off) * 13) % 4
-            o = base + (int(off) + shift) % tile_rows + jitter
-            arrivals[o : o + m] += 1
-    return arrivals
+    t = np.arange(n_tiles, dtype=np.int64)[:, None]
+    off = np.asarray(offsets, dtype=np.int64)
+    shift = (t * 23) % max(1, tile_rows)
+    # Sync-buffer depth differences add a few cycles of arrival jitter
+    # (deterministic hash, reproducible across runs).
+    jitter = (t * 7 + off * 13) % 4
+    starts = (t * period + (off + shift) % tile_rows + jitter).ravel()
+    delta = np.bincount(starts, minlength=horizon + 1)
+    delta -= np.bincount(starts + m, minlength=horizon + 1)
+    return np.cumsum(delta[:horizon], dtype=np.int64)
 
 
 def simulate_gemm(

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.accelerator import (
+from repro.hw import (
     ARCHS,
     GEOMETRIES,
+    HW_WORKLOADS,
     AcceleratorConfig,
     EnergyParams,
     LayerSpec,
+    build_workload,
     compute_density_tops_mm2,
     energy_of,
     gobo_area,
@@ -17,12 +19,34 @@ from repro.accelerator import (
     noc_integration_overhead,
     olive_area,
     recon_contention,
+    simulate,
     simulate_arch_inference,
     simulate_gemm,
     simulate_layers,
     sram_area_mm2,
+    systolic,
     total_accelerator_area,
 )
+
+# The cycle-simulated designs; the full registry also holds the ``gpu-*``
+# kernel-cost-model archs.
+SYSTOLIC_ARCHS = {n: s for n, s in ARCHS.items() if s.kind == "systolic"}
+
+
+def _arrivals_reference(offsets, m, n_tiles, period, tile_rows):
+    """The per-request loop ``systolic._build_arrivals`` replaced, verbatim."""
+    horizon = (n_tiles - 1) * period + tile_rows + m + 5
+    arrivals = np.zeros(horizon, dtype=np.int64)
+    for t in range(n_tiles):
+        base = t * period
+        shift = (t * 23) % max(1, tile_rows)
+        for off in offsets:
+            # Sync-buffer depth differences add a few cycles of arrival
+            # jitter (deterministic hash, reproducible across runs).
+            jitter = (t * 7 + int(off) * 13) % 4
+            o = base + (int(off) + shift) % tile_rows + jitter
+            arrivals[o : o + m] += 1
+    return arrivals
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +86,78 @@ class TestLayerSpec:
         assert s.ebw == pytest.approx(packed_w2.ebw())
         assert s.outlier_ub_fraction == pytest.approx(packed_w2.outlier_ub_fraction())
 
-    def test_rejects_bad_fraction(self):
-        with pytest.raises(ValueError):
-            LayerSpec("x", 8, 8, 2, 2.0, 1.5)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("outlier_ub_fraction", 1.5),
+            ("outlier_ub_fraction", -0.1),
+            ("d_out", 0),
+            ("d_out", -64),
+            ("d_in", 0),
+            ("micro_block", 0),
+            ("ebw", float("nan")),
+            ("ebw", float("inf")),
+            ("ebw", -2.0),
+            ("ebw", 0.0),
+        ],
+    )
+    def test_rejects_degenerate_spec(self, field, value):
+        kwargs = dict(
+            name="x", d_out=8, d_in=8, bit_budget=2, ebw=2.0, outlier_ub_fraction=0.1
+        )
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            LayerSpec(**kwargs)
+
+
+class TestBuildArrivals:
+    """The difference-array request timeline equals the per-request loop."""
+
+    @staticmethod
+    def _check(offsets, m, n_tiles, period, tile_rows):
+        got = systolic._build_arrivals(offsets, m, n_tiles, period, tile_rows)
+        want = _arrivals_reference(offsets, m, n_tiles, period, tile_rows)
+        args = (offsets.tolist(), m, n_tiles, period, tile_rows)
+        assert got.dtype == np.int64, args
+        assert len(got) == (n_tiles - 1) * period + tile_rows + m + 5, args
+        assert np.array_equal(got, want), args
+
+    def test_matches_loop_on_seeded_grid(self):
+        rng = np.random.default_rng(14)
+        for tile_rows in (1, 2, 7, 64, 80):
+            for m in (1, 3, 64, 200):
+                for n_tiles in (1, 2, 23, 64):
+                    period = int(rng.integers(m, m + 301))
+                    k = int(rng.integers(1, tile_rows + 1))
+                    for offsets in (
+                        np.array([], dtype=np.int64),
+                        np.linspace(0, tile_rows - 1, k).astype(np.int64),
+                        # more draws than rows, so offsets repeat
+                        rng.integers(0, tile_rows, size=tile_rows + 3),
+                    ):
+                        self._check(offsets, m, n_tiles, period, tile_rows)
+        for period_pad in (0, 300):  # the ends of [m, m + 300]
+            self._check(np.array([0, 3, 3, 9]), 17, 64, 17 + period_pad, 10)
+
+    def test_matches_loop_on_lm_workload_calls(self, monkeypatch):
+        seen = {}
+        build = systolic._build_arrivals
+
+        def spy(offsets, m, n_tiles, period, tile_rows):
+            seen[(tuple(offsets.tolist()), m, n_tiles, period, tile_rows)] = offsets
+            return build(offsets, m, n_tiles, period, tile_rows)
+
+        monkeypatch.setattr(systolic, "_build_arrivals", spy)
+        for family in HW_WORKLOADS["lm"].families():
+            for prefill in (1, 32, 128):
+                workload = build_workload("lm", family, prefill=prefill)
+                for arch in SYSTOLIC_ARCHS:
+                    simulate(arch, workload)
+        monkeypatch.undo()
+
+        assert any(len(offsets) for offsets in seen.values())
+        for (_, m, n_tiles, period, tile_rows), offsets in seen.items():
+            self._check(offsets, m, n_tiles, period, tile_rows)
 
 
 class TestContention:
@@ -217,7 +310,7 @@ class TestArchComparison:
         geom = GEOMETRIES["llama2-7b"]
         return {
             a: simulate_arch_inference(a, geom, prefill=1, decode_tokens=16)
-            for a in ARCHS
+            for a in SYSTOLIC_ARCHS
         }
 
     def test_v2_is_fastest(self, results):

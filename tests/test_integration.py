@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.accelerator import AcceleratorConfig, LayerSpec, simulate_layers
+from repro.hw import AcceleratorConfig, LayerSpec, simulate_layers
 from repro.core import MicroScopiQConfig, quantize_matrix, quantize_model
 from repro.eval import eval_corpus, perplexity
 from repro.models import build_model
