@@ -118,6 +118,9 @@ class ConvNet:
         stop = None
         if names is not None:
             names = list(names)
+            unknown = set(names).difference(self.linear_names)
+            if unknown:
+                raise KeyError(f"unknown linears {sorted(unknown)}")
             stop = max(int(n[4:]) for n in names)  # "conv3" -> 3
         self.forward(images, capture=capture, stop_after_stage=stop)
         return {

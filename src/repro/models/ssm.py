@@ -107,6 +107,11 @@ class SelectiveScanModel:
     def collect_calibration(
         self, seqs: np.ndarray, names: list | None = None
     ) -> Dict[str, np.ndarray]:
+        if names is not None:
+            names = list(names)
+            unknown = set(names).difference(self.linear_names)
+            if unknown:
+                raise KeyError(f"unknown linears {sorted(unknown)}")
         capture: Dict[str, list] = {}
         skip_out = names is not None and "w_out" not in names
         self.forward(seqs, capture=capture, stop_before_out=skip_out)

@@ -19,6 +19,7 @@ The class exposes exactly what a PTQ framework needs:
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
@@ -28,6 +29,9 @@ from .generator import MODEL_FAMILIES, FamilyProfile, make_weight
 __all__ = ["TransformerLM", "build_model", "linear_names"]
 
 ActQuant = Callable[[np.ndarray], np.ndarray]
+
+#: The quantizable linears of one decoder block, in forward order.
+_BLOCK_LINEARS = ("wq", "wk", "wv", "wo", "w1", "w3", "w2")
 
 
 def _rmsnorm(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -54,11 +58,28 @@ def _sinusoidal_positions(max_len: int, d_model: int) -> np.ndarray:
 
 def linear_names(n_layers: int) -> list[str]:
     """Names of every quantizable linear weight, in forward order."""
-    names = []
-    for i in range(n_layers):
-        for w in ("wq", "wk", "wv", "wo", "w1", "w3", "w2"):
-            names.append(f"layers.{i}.{w}")
-    return names
+    return [f"layers.{i}.{w}" for i in range(n_layers) for w in _BLOCK_LINEARS]
+
+
+class _Captured(Exception):
+    """Raised once the last input a targeted calibration waits for is
+    captured: the forward pass ends there."""
+
+
+class _Capture(dict):
+    """Inputs of the linears ``names`` (all of them when ``None``), in
+    forward order. The forward stops right after the last name's input is
+    taken, before that linear's matmul."""
+
+    def __init__(self, names: Optional[list] = None):
+        super().__init__()
+        self.names = names
+
+    def take(self, name: str, x: np.ndarray) -> None:
+        if self.names is None or name in self.names:
+            self.setdefault(name, []).append(x.reshape(-1, x.shape[-1]))
+            if self.names is not None and name == self.names[-1]:
+                raise _Captured
 
 
 class TransformerLM:
@@ -93,42 +114,61 @@ class TransformerLM:
         # Optional KV-cache fake-quantizer: callable (k, v) -> (k_q, v_q)
         # applied per sequence to the attention K/V tensors (KIVI-style).
         self.kv_quant = None
+        # Where targeted calibration resumes (see collect_calibration):
+        # (calibration input, block, residual stream entering the block,
+        # _inputs_before(block)) or None.
+        self._record: Optional[tuple] = None
 
     # ---------------------------------------------------------------- utils
     def _w(self, name: str) -> np.ndarray:
         return self.overrides.get(name, self.weights[name])
 
-    def _linear(self, name: str, x: np.ndarray, capture: Optional[dict]) -> np.ndarray:
+    def _linear(
+        self, name: str, x: np.ndarray, capture: Optional[_Capture]
+    ) -> np.ndarray:
         if capture is not None:
-            capture.setdefault(name, []).append(x.reshape(-1, x.shape[-1]))
+            capture.take(name, x)
         aq = self.act_quant.get(name)
         if aq is not None:
             x = aq(x)
         return x @ self._w(name).T
 
     # -------------------------------------------------------------- forward
-    def forward(
-        self,
-        tokens: np.ndarray,
-        capture: Optional[dict] = None,
-        stop_after_layer: Optional[int] = None,
-    ) -> np.ndarray:
-        """Logits ``[batch, seq, vocab]`` for token ids ``[batch, seq]``.
+    def forward(self, tokens: np.ndarray) -> np.ndarray:
+        """Logits ``[batch, seq, vocab]`` for token ids ``[batch, seq]``."""
+        return self._forward_embeddings(self.embed[np.atleast_2d(tokens)])
 
-        ``stop_after_layer=i`` returns the residual stream after block ``i``
-        without the final norm/logits head — the capture-only fast path for
-        targeted calibration (everything computed up to the stop is
-        identical to the full forward).
-        """
-        tokens = np.atleast_2d(tokens)
-        b, seq = tokens.shape
+    def _forward_embeddings(
+        self, h0: np.ndarray, capture: Optional[_Capture] = None
+    ) -> np.ndarray:
+        """Logits for input embeddings ``[batch, seq, d_model]`` (the token
+        lookup or the VLM's image/caption sequence); positions added here."""
+        h = self._blocks(self._stream(h0), 0, self.profile.n_layers, capture)
+        return (_rmsnorm(h) @ self.embed.T) * self.profile.logit_gain
+
+    def _stream(self, h0: np.ndarray) -> np.ndarray:
+        """The residual stream entering block 0."""
+        return h0 + self.pos[: h0.shape[1]][None, :, :]
+
+    def _blocks(
+        self,
+        h: np.ndarray,
+        start: int,
+        stop: int,
+        capture: Optional[_Capture] = None,
+    ) -> np.ndarray:
+        """Decoder blocks ``start .. stop - 1`` over the residual stream
+        ``h``; returns the stream after block ``stop - 1``."""
         p = self.profile
-        h = self.embed[tokens] + self.pos[:seq][None, :, :]
+        b, seq, _ = h.shape
         n_heads = p.n_heads
         d_head = p.d_model // n_heads
         mask = np.triu(np.full((seq, seq), -1e30), k=1)
 
-        for i in range(p.n_layers):
+        def heads(t):
+            return t.reshape(b, seq, n_heads, d_head).transpose(0, 2, 1, 3)
+
+        for i in range(start, stop):
             x = _rmsnorm(h)
             q = self._linear(f"layers.{i}.wq", x, capture)
             k = self._linear(f"layers.{i}.wk", x, capture)
@@ -136,9 +176,6 @@ class TransformerLM:
             if self.kv_quant is not None:
                 for bi in range(b):
                     k[bi], v[bi] = self.kv_quant(k[bi], v[bi])
-
-            def heads(t):
-                return t.reshape(b, seq, n_heads, d_head).transpose(0, 2, 1, 3)
 
             qh, kh, vh = heads(q), heads(k), heads(v)
             att = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(d_head)
@@ -150,11 +187,7 @@ class TransformerLM:
             gate = _silu(self._linear(f"layers.{i}.w1", x, capture))
             up = self._linear(f"layers.{i}.w3", x, capture)
             h = h + self._linear(f"layers.{i}.w2", gate * up, capture)
-            if stop_after_layer is not None and i >= stop_after_layer:
-                return h
-
-        h = _rmsnorm(h)
-        return (h @ self.embed.T) * self.profile.logit_gain
+        return h
 
     def logits(self, tokens: np.ndarray) -> np.ndarray:
         return self.forward(tokens)
@@ -165,24 +198,97 @@ class TransformerLM:
     ) -> Dict[str, np.ndarray]:
         """Inputs seen by each linear during a forward pass over ``tokens``.
 
-        ``names`` restricts the collection to those linears: the forward
-        stops after the deepest block any of them lives in and skips the
-        vocab-sized logits head, which the engine's sequential calibration
-        exploits (one group per pass). The captured activations are
-        bit-identical to a full collection — the forward prefix is the same
-        computation.
+        ``names`` restricts the collection to those linears (``KeyError``
+        for any name not in :attr:`linear_names`) and runs only the forward
+        work they need, which the engine's sequential calibration (one
+        group per call, in forward order) exploits:
+
+        * it resumes from the residual stream recorded at the start of an
+          earlier or equal block, when that record is still valid;
+        * it records the residual stream at the start of the first block
+          the names live in;
+        * it stops as soon as the last requested input is captured, before
+          that linear's matmul, so neither the rest of the block nor the
+          logits head runs.
+
+        The record is valid only while (1) the calibration input is the
+        same object as when it was recorded (calibration inputs must not be
+        modified in place), (2) every linear in the blocks before it has the
+        same weight (``overrides`` or ``weights``) and ``act_quant``
+        objects, and (3) ``kv_quant`` is the same object. The model keeps
+        at most one record, by strong reference, so those identities cannot
+        be recycled; :meth:`clear_overrides` drops it, and so does
+        collecting the model's last linear. Every other case recomputes
+        from the embedding. A resumed collection thus performs the same
+        operations on the same arrays as a full forward, and its
+        activations are bit-identical to the full collection's.
         """
-        capture: Dict[str, list] = {}
-        stop = None
-        if names is not None:
-            names = list(names)
-            stop = max(int(n.split(".")[1]) for n in names)
-        self.forward(tokens, capture=capture, stop_after_layer=stop)
+        return self._calibrate(
+            tokens, lambda: self.embed[np.atleast_2d(tokens)], names
+        )
+
+    def _calibrate(
+        self,
+        key: object,
+        embed: Callable[[], np.ndarray],
+        names: Optional[Iterable[str]],
+    ) -> Dict[str, np.ndarray]:
+        """:meth:`collect_calibration` for the calibration input ``key``,
+        whose input embeddings ``embed()`` computes."""
+        if names is None:
+            capture = _Capture()
+            self._forward_embeddings(embed(), capture)
+        else:
+            capture = self._resume(key, embed, names)
         return {
-            name: np.concatenate(chunks, axis=0)
-            for name, chunks in capture.items()
-            if names is None or name in names
+            name: np.concatenate(chunks, axis=0) for name, chunks in capture.items()
         }
+
+    def _resume(
+        self, key: object, embed: Callable[[], np.ndarray], names: Iterable[str]
+    ) -> _Capture:
+        """The targeted forward of :meth:`collect_calibration`."""
+        order = self.linear_names
+        wanted = set(names)
+        unknown = wanted.difference(order)
+        if unknown:
+            raise KeyError(f"unknown linears {sorted(unknown)}")
+        at = [i for i, name in enumerate(order) if name in wanted]
+        if not at:
+            return _Capture([])
+        first = at[0] // len(_BLOCK_LINEARS)
+        start, h = 0, None
+        if self._record is not None:
+            rec_key, block, rec_h, inputs = self._record
+            if (
+                rec_key is key
+                and block <= first
+                and all(map(operator.is_, inputs, self._inputs_before(block)))
+            ):
+                start, h = block, rec_h
+        if h is None:
+            h = self._stream(embed())
+        h = self._blocks(h, start, first)
+        self._record = (key, first, h, self._inputs_before(first))
+        capture = _Capture([order[i] for i in at])
+        try:
+            self._blocks(h, first, self.profile.n_layers, capture)
+        except _Captured:
+            pass
+        if at[-1] == len(order) - 1:
+            self._record = None
+        return capture
+
+    def _inputs_before(self, block: int) -> list:
+        """Everything besides the calibration input that the residual stream
+        entering ``block`` depends on: ``kv_quant``, then each earlier
+        linear's weight and activation quantizer."""
+        names = self.linear_names[: block * len(_BLOCK_LINEARS)]
+        return (
+            [self.kv_quant]
+            + [self._w(name) for name in names]
+            + [self.act_quant.get(name) for name in names]
+        )
 
     # ------------------------------------------------------------- sampling
     def sample(
@@ -214,6 +320,7 @@ class TransformerLM:
         self.overrides.clear()
         self.act_quant.clear()
         self.kv_quant = None
+        self._record = None
 
     @property
     def linear_names(self) -> list[str]:
@@ -227,4 +334,4 @@ def build_model(family: str, max_len: int = 128) -> TransformerLM:
     except KeyError:
         known = ", ".join(MODEL_FAMILIES)
         raise KeyError(f"unknown family {family!r}; known: {known}") from None
-    return TransformerLM(profile)
+    return TransformerLM(profile, max_len=max_len)

@@ -77,50 +77,9 @@ class VisionLanguageModel:
             parts.append(self.lm.embed[caption_prefix])
         return np.concatenate(parts, axis=1)
 
-    def _forward_embeddings(
-        self,
-        h0: np.ndarray,
-        capture: dict | None = None,
-        stop_after_layer: int | None = None,
-    ) -> np.ndarray:
-        """Forward pass over pre-embedded inputs (bypasses token lookup).
-
-        ``stop_after_layer`` mirrors ``TransformerLM.forward``: return the
-        residual stream after that block, skipping the logits head (the
-        targeted-calibration fast path).
-        """
-        lm = self.lm
-        seq = h0.shape[1]
-        h = h0 + lm.pos[:seq][None, :, :]
-        # Replicates TransformerLM.forward minus the embedding lookup, so
-        # weight overrides and activation quantizers apply unchanged.
-        from .transformer import _rmsnorm, _silu, _softmax
-
-        p = lm.profile
-        b = h.shape[0]
-        n_heads, d_head = p.n_heads, p.d_model // p.n_heads
-        mask = np.triu(np.full((seq, seq), -1e30), k=1)
-        for i in range(p.n_layers):
-            x = _rmsnorm(h)
-            q = lm._linear(f"layers.{i}.wq", x, capture)
-            k = lm._linear(f"layers.{i}.wk", x, capture)
-            v = lm._linear(f"layers.{i}.wv", x, capture)
-
-            def heads(t):
-                return t.reshape(b, seq, n_heads, d_head).transpose(0, 2, 1, 3)
-
-            att = heads(q) @ heads(k).transpose(0, 1, 3, 2) / np.sqrt(d_head)
-            att = _softmax(att + mask[None, None, :, :])
-            ctx = (att @ heads(v)).transpose(0, 2, 1, 3).reshape(b, seq, p.d_model)
-            h = h + lm._linear(f"layers.{i}.wo", ctx, capture)
-            x = _rmsnorm(h)
-            gate = _silu(lm._linear(f"layers.{i}.w1", x, capture))
-            up = lm._linear(f"layers.{i}.w3", x, capture)
-            h = h + lm._linear(f"layers.{i}.w2", gate * up, capture)
-            if stop_after_layer is not None and i >= stop_after_layer:
-                return h
-        h = _rmsnorm(h)
-        return (h @ lm.embed.T) * p.logit_gain
+    def _forward_embeddings(self, h0: np.ndarray) -> np.ndarray:
+        """Forward pass over pre-embedded inputs (bypasses token lookup)."""
+        return self.lm._forward_embeddings(h0)
 
     # Protocol methods so eval.harness.quantize_model works on VLMs.
     @property
@@ -147,21 +106,21 @@ class VisionLanguageModel:
 
     def collect_calibration(self, calib, names=None) -> dict:
         """Calibrate on embedded (shots, query) inputs: ``calib`` is the
-        tuple ``(shots, query_feats)``. ``names`` restricts the collection
-        (and stops the forward after the deepest needed block)."""
-        shots, query_feats = calib
-        h0 = self._embed_sequence(shots, query_feats, np.zeros((query_feats.shape[0], 0), dtype=np.int64))
-        capture: dict = {}
-        stop = None
-        if names is not None:
-            names = list(names)
-            stop = max(int(n.split(".")[1]) for n in names)
-        self._forward_embeddings(h0, capture=capture, stop_after_layer=stop)
-        return {
-            k: np.concatenate(v, axis=0)
-            for k, v in capture.items()
-            if names is None or k in names
-        }
+        tuple ``(shots, query_feats)``.
+
+        ``names`` restricts the collection exactly as
+        :meth:`TransformerLM.collect_calibration` does, through the same
+        block loop and resume record: the record is keyed on the ``calib``
+        object itself, is valid under the same rule, and the captured
+        activations are bit-identical to the full collection's for the
+        same reason."""
+
+        def embed() -> np.ndarray:
+            shots, query_feats = calib
+            caption = np.zeros((query_feats.shape[0], 0), dtype=np.int64)
+            return self._embed_sequence(shots, query_feats, caption)
+
+        return self.lm._calibrate(calib, embed, names)
 
     def generate_captions(
         self, shots: List[tuple], query_feats: np.ndarray, length: int = CAPTION_LEN

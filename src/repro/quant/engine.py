@@ -10,7 +10,11 @@ lifecycle. It improves on the naive per-layer walk in three ways:
   RMSNorm output, ``w1``/``w3`` the same MLP input) are grouped by the
   substrate registry; the engine collects activations once per group instead
   of once per layer, and the result is bit-identical to the sequential walk
-  (asserted in ``tests/test_substrates.py``).
+  (asserted in ``tests/test_substrates.py``). On the LM and VLM each
+  group's collection resumes from the residual stream recorded where an
+  earlier group's block began, as long as nothing upstream of it changed,
+  so a sequential quantize runs O(L) block passes instead of replaying the
+  forward from the embedding for every group (O(L²)).
 
 * **Hessian store.** ``H = 2 X Xᵀ + λI`` depends only on the calibration
   activations and the damping — not on bits or method knobs — so methods

@@ -14,7 +14,12 @@ from repro.models import (
     make_weight,
     plant_outliers,
 )
+from repro.baselines.registry import get_quantizer
+from repro.core.substrate import calibration_groups, get_substrate
+from repro.models.transformer import TransformerLM
 from repro.quant import outlier_stats
+from repro.quant.activation import ActivationQuantizer
+from repro.quant.engine import HessianStore, quantize_model
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +118,11 @@ class TestTransformerLM:
         with pytest.raises(KeyError):
             build_model("gpt-5")
 
+    def test_build_model_honours_max_len(self):
+        lm = build_model("opt-6.7b", max_len=256)
+        tokens = np.zeros((1, 200), dtype=np.int64)
+        assert lm.forward(tokens).shape == (1, 200, lm.profile.vocab)
+
 
 class TestCnn:
     def test_im2col_matches_direct_conv(self):
@@ -206,3 +216,149 @@ class TestVlm:
     def test_quantization_protocol(self):
         vlm = build_vlm("llava1.5-7b")
         assert set(vlm.linear_names) == set(vlm.weights)
+
+
+# 2- and 3-block LMs and a VLM: the substrates whose targeted calibration
+# resumes from a recorded residual stream.
+RESUMABLE = [("lm", "opt-6.7b"), ("lm", "llama2-13b"), ("vlm", "vila-7b")]
+
+
+@pytest.fixture(params=RESUMABLE, ids=[family for _, family in RESUMABLE])
+def resumable(request):
+    """A fresh model and its default calibration set, sampled up front."""
+    sub = get_substrate(request.param[0])
+    model = sub.build(request.param[1])
+    return model, sub.calibration(model)
+
+
+@pytest.fixture
+def linear_calls(monkeypatch):
+    """Names passed to ``TransformerLM._linear`` from here on, in order."""
+    calls = []
+    linear = TransformerLM._linear
+
+    def spy(self, name, x, capture):
+        calls.append(name)
+        return linear(self, name, x, capture)
+
+    monkeypatch.setattr(TransformerLM, "_linear", spy)
+    return calls
+
+
+def _perturb(model, group, rng):
+    """Install fresh random overrides and act quantizers on ``group``."""
+    for name in group:
+        w = model.weights[name]
+        model.set_override(name, w + rng.normal(0, 0.05, w.shape))
+        model.act_quant[name] = ActivationQuantizer(None, 8)
+
+
+def _assert_targeted_equals_full(model, calib, group):
+    part = model.collect_calibration(calib, names=group)
+    full = model.collect_calibration(calib)
+    assert list(part) == list(group)
+    for name in group:
+        assert np.array_equal(part[name], full[name]), name
+
+
+def _copy_of(calib):
+    """An equal calibration input that is a distinct object."""
+    if isinstance(calib, tuple):
+        return (calib[0], calib[1].copy())
+    return calib.copy()
+
+
+def _other_than(calib):
+    """A calibration input of the same shape with different content."""
+    if isinstance(calib, tuple):
+        return (calib[0], -calib[1])
+    return calib[:, ::-1].copy()
+
+
+class TestCalibrationResume:
+    """Targeted ``collect_calibration`` resumes from the residual stream it
+    recorded at an earlier group's block: never stale, always bit-identical
+    to the full collection, O(L) block passes per sequential quantize."""
+
+    def test_forward_walk_bit_identical(self, resumable):
+        model, calib = resumable
+        rng = np.random.default_rng(0)
+        for group in calibration_groups(model):
+            _assert_targeted_equals_full(model, calib, group)
+            _perturb(model, group, rng)
+
+    def _record_block_one(self, model, calib, rng):
+        """Walk block 0's groups as the engine does, then collect block 1's
+        first group (recording the stream entering block 1)."""
+        groups = calibration_groups(model)
+        for group in groups[:4]:
+            model.collect_calibration(calib, names=group)
+            _perturb(model, group, rng)
+        _assert_targeted_equals_full(model, calib, groups[4])
+        return groups[5:]
+
+    def test_resumes_without_rerunning_earlier_blocks(self, resumable, linear_calls):
+        model, calib = resumable
+        rest = self._record_block_one(model, calib, np.random.default_rng(1))
+        del linear_calls[:]
+        model.collect_calibration(calib, names=rest[0])
+        assert linear_calls == [f"layers.1.{w}" for w in ("wq", "wk", "wv", "wo")]
+
+    def test_earlier_override_or_act_quantizer_replaced(self, resumable):
+        model, calib = resumable
+        rng = np.random.default_rng(2)
+        rest = self._record_block_one(model, calib, rng)
+        w = model.weights["layers.0.wo"]
+        model.set_override("layers.0.wo", w + rng.normal(0, 0.05, w.shape))
+        _assert_targeted_equals_full(model, calib, rest[0])
+        model.act_quant["layers.0.w2"] = ActivationQuantizer(None, 4)
+        _assert_targeted_equals_full(model, calib, rest[1])
+
+    def test_clear_overrides(self, resumable):
+        model, calib = resumable
+        rest = self._record_block_one(model, calib, np.random.default_rng(3))
+        model.clear_overrides()
+        _assert_targeted_equals_full(model, calib, rest[0])
+
+    def test_distinct_calibration_object(self, resumable, linear_calls):
+        model, calib = resumable
+        rest = self._record_block_one(model, calib, np.random.default_rng(4))
+        del linear_calls[:]
+        _assert_targeted_equals_full(model, _copy_of(calib), rest[0])
+        assert linear_calls[0] == "layers.0.wq"  # restarted at the embedding
+        _assert_targeted_equals_full(model, _other_than(calib), rest[1])
+
+    def test_kv_quantizer_replaced(self):
+        model = build_model("opt-6.7b")
+        calib = get_substrate("lm").calibration(model)
+        rest = self._record_block_one(model, calib, np.random.default_rng(5))
+        model.kv_quant = lambda k, v: (np.round(k, 1), np.round(v, 1))
+        _assert_targeted_equals_full(model, calib, rest[0])
+
+    def test_reversed_groups_match_per_layer_walk(self, resumable):
+        """Groups out of forward order: a record past a group's first block
+        is never used, and the engine equals the per-layer walk done in
+        the same order."""
+        model, calib = resumable
+        groups = list(reversed(calibration_groups(model)))
+        quantizer = get_quantizer("microscopiq")
+        ref = {}
+        for group in groups:
+            for name in group:
+                acts = model.collect_calibration(calib)[name]
+                result = quantizer(model.weights[name], acts, bits=4)
+                model.set_override(name, result.dequant)
+                ref[name] = result.dequant
+        quantize_model(
+            model, "microscopiq", 4, calib=calib, groups=groups,
+            hessian_store=HessianStore(),
+        )
+        for name in model.linear_names:
+            assert np.array_equal(model.overrides[name], ref[name]), name
+
+    def test_sequential_quantize_linear_in_depth(self, resumable, linear_calls):
+        """At most 28 linear calls per block (the O(L²) replay from block 0
+        made 84 on 2 blocks and 168 on 3)."""
+        model, calib = resumable
+        quantize_model(model, "rtn", 4, calib=calib)
+        assert len(linear_calls) <= 28 * model.profile.n_layers

@@ -7,6 +7,8 @@ results bit-identical to the plain per-layer serial walk, and evaluates to
 its declared task metric through ``evaluate_setting``.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,15 @@ SMALL_FAMILY = {
     "vlm": "vila-7b",
     "cnn": "resnet50",
     "ssm": "vmamba-s",
+}
+
+# Malformed, out-of-range and misspelled linear names each substrate must
+# reject rather than mis-parse or silently skip.
+UNKNOWN_LINEARS = {
+    "lm": ["wq", "layers.x.wq", "layers.9.wq", "layers.0.wz"],
+    "vlm": ["layers.9.wq"],
+    "cnn": ["conv9", "conv"],
+    "ssm": ["w_nope"],
 }
 
 
@@ -73,6 +84,12 @@ class TestProtocol:
             assert a.ndim == 2
             assert a.shape[1] == model.weights[name].shape[1], name
             assert a.shape[0] > 0
+
+    def test_collect_calibration_rejects_unknown_names(self, sub, model):
+        calib = sub.calibration(model)
+        for bad in UNKNOWN_LINEARS[sub.name]:
+            with pytest.raises(KeyError, match=re.escape(repr(bad))):
+                model.collect_calibration(calib, names=[model.linear_names[0], bad])
 
     def test_groups_partition_linear_names_in_order(self, sub, model):
         groups = calibration_groups(model)
