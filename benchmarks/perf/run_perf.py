@@ -14,7 +14,10 @@ named span, not just a wall-clock delta:
 * ``sweep.cold`` / ``sweep.warm`` — a small codesign sweep against a fresh
   cache, then the identical sweep again (pure cache lookups);
 * ``simulate`` — accelerator-simulation throughput
-  (``kernel:simulate`` calls per second).
+  (``kernel:simulate`` calls per second);
+* ``corpus`` — cold sampling of the synthetic evaluation data (an LM's
+  evaluation and calibration corpora, a VLM's reference captions), timed
+  by wall clock with the per-process caches cleared before each repeat.
 
 Run from the repo root::
 
@@ -177,6 +180,35 @@ def bench_simulate(repeats: int) -> Dict[str, Any]:
     }
 
 
+def bench_corpus(repeats: int) -> Dict[str, Any]:
+    from repro.core import substrate
+    from repro.eval import corpus
+    from repro.models.transformer import build_model
+
+    model = build_model("opt-6.7b")
+    lm_times, vlm_times = [], []
+    for _ in range(repeats):
+        corpus._cached_sample.cache_clear()
+        substrate._vlm_bundle.cache_clear()
+        t0 = time.perf_counter()
+        corpus.eval_corpus(model)
+        corpus.calibration_tokens(model)
+        t1 = time.perf_counter()
+        substrate._vlm_bundle("llava1.5-7b")
+        lm_times.append(t1 - t0)
+        vlm_times.append(time.perf_counter() - t1)
+    totals = [a + b for a, b in zip(lm_times, vlm_times)]
+    return {
+        "workload": "lm/opt-6.7b eval_corpus + calibration_tokens, "
+                    "vlm/llava1.5-7b reference captions",
+        "repeats": repeats,
+        "median_s": round(statistics.median(totals), 6),
+        "min_s": round(min(totals), 6),
+        "lm_median_s": round(statistics.median(lm_times), 6),
+        "vlm_median_s": round(statistics.median(vlm_times), 6),
+    }
+
+
 def run(repeats: int) -> Dict[str, Any]:
     benches: Dict[str, Any] = {}
     print(f"quantize_matrix x{repeats} ...", flush=True)
@@ -188,6 +220,8 @@ def run(repeats: int) -> Dict[str, Any]:
     benches["sweep"] = bench_sweep()
     print(f"simulate x{repeats} ...", flush=True)
     benches["simulate"] = bench_simulate(repeats)
+    print(f"corpus x{repeats} ...", flush=True)
+    benches["corpus"] = bench_corpus(repeats)
     return {
         "schema": BENCH_SCHEMA,
         "python": platform.python_version(),

@@ -50,6 +50,15 @@ __all__ = [
 _BOOTSTRAP_RESAMPLES = 64  # bootstrap draws for the LM nll_se
 
 
+def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """``arrays``, made read-only. The ``lru_cache``d bundles below hand the
+    same arrays to every job in a process, so an in-place edit by one job
+    would change what every later job reads."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @runtime_checkable
 class Substrate(Protocol):
     """The linear-layer protocol a quantizable model must implement.
@@ -255,7 +264,7 @@ def _lm_task_labels(family: str, task: str):
     from ..eval.tasks import LM_TASKS, task_labels
     from ..models.transformer import build_model
 
-    return task_labels(build_model(family), LM_TASKS[task])
+    return _read_only(*task_labels(build_model(family), LM_TASKS[task]))
 
 
 def _lm_owns(model) -> bool:
@@ -283,16 +292,16 @@ def _vlm_bundle(family: str):
 
     vlm = build_vlm(family)
     rng = np.random.default_rng(vlm.profile.seed + _VLM_SEED_OFFSET)
-    shots = [
-        (
+    shots = tuple(
+        _read_only(
             rng.normal(0, 1, (_VLM_QUERIES, vlm.d_img)),
             rng.integers(0, vlm.profile.vocab, (_VLM_QUERIES, CAPTION_LEN)),
         )
         for _ in range(_VLM_REF_SHOTS)
-    ]
+    )
     query = rng.normal(0, 1, (_VLM_QUERIES, vlm.d_img))
     reference = vlm.generate_captions(shots, query)
-    return shots, query, reference
+    return (shots, *_read_only(query, reference))
 
 
 def _vlm_families() -> Tuple[str, ...]:
@@ -356,7 +365,7 @@ def _cnn_bundle(family: str):
     calib = rng.normal(0, 1, (_CNN_CALIB, 3, hw, hw))
     test = rng.normal(0, 1, (_CNN_EVAL, 3, hw, hw))
     fp_pred = _batched_predict(net, test)
-    return calib, test, fp_pred
+    return _read_only(calib, test, fp_pred)
 
 
 def _batched_predict(net, images: np.ndarray, batch: int = 64) -> np.ndarray:
@@ -418,7 +427,7 @@ def _ssm_bundle(family: str):
     calib = rng.normal(0, 1, (_SSM_CALIB, p.seq_len, p.d_model))
     test = rng.normal(0, 1, (_SSM_EVAL, p.seq_len, p.d_model))
     fp_pred = net.predict(test)
-    return calib, test, fp_pred
+    return _read_only(calib, test, fp_pred)
 
 
 def _ssm_families() -> Tuple[str, ...]:

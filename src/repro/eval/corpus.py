@@ -7,6 +7,13 @@ temperature 1, so the FP model is (near-)optimal on the corpus and any
 quantization error shows up as a PPL increase, exactly the monotone signal
 the paper's tables rely on. Calibration tokens come from a disjoint seed
 (the "PILE" analog: same distribution family, different draw).
+
+Sampling decodes with a key/value cache (:meth:`TransformerLM.sample`), one
+block pass per new token. The tokens are identical to those of re-running
+the forward over the whole prefix for every token; the logits they are
+drawn from are not bit-identical to it (BLAS rounds a one-row matmul
+differently), which a test pins within a tolerance. Each corpus is sampled
+once per process and returned read-only, as every caller shares it.
 """
 
 from __future__ import annotations
@@ -29,7 +36,9 @@ def _cached_sample(family: str, n_sequences: int, seq_len: int, seed: int):
 
     model = build_model(family)
     rng = np.random.default_rng(seed)
-    return model.sample(n_sequences, seq_len, rng)
+    tokens = model.sample(n_sequences, seq_len, rng)
+    tokens.flags.writeable = False  # the cache hands it to every caller
+    return tokens
 
 
 def eval_corpus(model: TransformerLM, n_sequences: int = 32, seq_len: int = 32) -> np.ndarray:

@@ -12,7 +12,10 @@ The class exposes exactly what a PTQ framework needs:
   calibration batch (what GPTQ's Hessian is built from);
 * :meth:`forward` / :meth:`logits` — teacher-forced evaluation;
 * :meth:`sample` — autoregressive sampling (used to build the synthetic
-  evaluation corpus from the full-precision model itself);
+  evaluation corpus from the full-precision model itself), decoded with a
+  key/value cache: one block pass per new token, and tokens identical to
+  re-running the forward over the whole prefix (the logits differ from it
+  by BLAS rounding only, so identity is of tokens, not bits);
 * weight overrides + per-linear activation fake-quantizers, which is how
   quantized variants are materialized without copying the model.
 """
@@ -146,9 +149,32 @@ class TransformerLM:
         h = self._blocks(self._stream(h0), 0, self.profile.n_layers, capture)
         return (_rmsnorm(h) @ self.embed.T) * self.profile.logit_gain
 
-    def _stream(self, h0: np.ndarray) -> np.ndarray:
-        """The residual stream entering block 0."""
-        return h0 + self.pos[: h0.shape[1]][None, :, :]
+    def _decode(self, h0: np.ndarray, cache: dict) -> np.ndarray:
+        """One cached decoding step: logits ``[batch, vocab]`` at the last
+        of the new input embeddings ``h0`` ``[batch, seq, d_model]``, which
+        follow the positions already held in ``cache`` (see :meth:`_blocks`;
+        ``{}`` before the first step, extended in place).
+
+        The blocks run over the new positions only, and the final RMSNorm
+        and the head over the last one. ``kv_quant`` raises ``ValueError``:
+        it quantizes keys per channel across the whole sequence, which a
+        cache of earlier steps' keys cannot reproduce."""
+        if self.kv_quant is not None:
+            raise ValueError("cached decoding does not support kv_quant")
+        past = cache[0][0].shape[2] if cache else 0
+        h = self._blocks(self._stream(h0, past), 0, self.profile.n_layers, cache=cache)
+        return (_rmsnorm(h[:, -1]) @ self.embed.T) * self.profile.logit_gain
+
+    def _stream(self, h0: np.ndarray, offset: int = 0) -> np.ndarray:
+        """The residual stream entering block 0 for input embeddings at
+        positions ``offset .. offset + seq - 1``; ``ValueError`` for a
+        position past ``max_len``."""
+        end = offset + h0.shape[1]
+        if end > self.max_len:
+            raise ValueError(
+                f"positions up to {end - 1} exceed the model's max_len={self.max_len}"
+            )
+        return h0 + self.pos[offset:end][None, :, :]
 
     def _blocks(
         self,
@@ -156,14 +182,23 @@ class TransformerLM:
         start: int,
         stop: int,
         capture: Optional[_Capture] = None,
+        cache: Optional[dict] = None,
     ) -> np.ndarray:
         """Decoder blocks ``start .. stop - 1`` over the residual stream
-        ``h``; returns the stream after block ``stop - 1``."""
+        ``h``; returns the stream after block ``stop - 1``.
+
+        ``cache`` is the key/value cache of decoding: block ``i`` maps to
+        its head-split ``(keys, values)``, ``[batch, heads, past, d_head]``,
+        of the ``past`` positions before ``h``. The positions of ``h``
+        attend over those and their own, which are appended in place. With
+        no cache (or an empty one) ``past`` is 0 and the causal mask is the
+        full sequence's."""
         p = self.profile
         b, seq, _ = h.shape
         n_heads = p.n_heads
         d_head = p.d_model // n_heads
-        mask = np.triu(np.full((seq, seq), -1e30), k=1)
+        past = cache[start][0].shape[2] if cache else 0
+        mask = np.triu(np.full((seq, past + seq), -1e30), k=past + 1)
 
         def heads(t):
             return t.reshape(b, seq, n_heads, d_head).transpose(0, 2, 1, 3)
@@ -178,6 +213,11 @@ class TransformerLM:
                     k[bi], v[bi] = self.kv_quant(k[bi], v[bi])
 
             qh, kh, vh = heads(q), heads(k), heads(v)
+            if cache is not None:
+                if past:
+                    kh = np.concatenate((cache[i][0], kh), axis=2)
+                    vh = np.concatenate((cache[i][1], vh), axis=2)
+                cache[i] = kh, vh
             att = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(d_head)
             att = _softmax(att + mask[None, None, :, :])
             ctx = (att @ vh).transpose(0, 2, 1, 3).reshape(b, seq, p.d_model)
@@ -294,11 +334,22 @@ class TransformerLM:
     def sample(
         self, n_sequences: int, seq_len: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Autoregressive temperature-1 samples from the (FP) model."""
+        """Autoregressive temperature-1 samples from the (FP) model.
+
+        Decodes with a key/value cache (:meth:`_decode`): each step runs
+        the blocks over the newest token only and the head over its
+        position only. The samples are token-identical to re-running
+        :meth:`forward` over the whole prefix each step, though not the
+        logits bit for bit (BLAS rounds a one-row matmul differently from
+        the same row of a longer one). ``seq_len`` may exceed ``max_len``
+        by one, as the last token needs no position of its own; a longer
+        one raises ``ValueError``, as does a model with ``kv_quant`` set.
+        """
         v = self.profile.vocab
         tokens = rng.integers(0, v, size=(n_sequences, 1))
+        cache = {}
         for _ in range(seq_len - 1):
-            logits = self.forward(tokens)[:, -1, :]
+            logits = self._decode(self.embed[tokens[:, -1:]], cache)
             probs = _softmax(logits, axis=-1)
             nxt = np.array(
                 [rng.choice(v, p=probs[i]) for i in range(n_sequences)]

@@ -125,14 +125,21 @@ class VisionLanguageModel:
     def generate_captions(
         self, shots: List[tuple], query_feats: np.ndarray, length: int = CAPTION_LEN
     ) -> np.ndarray:
-        """Greedy caption generation for a batch of query images."""
+        """Greedy caption generation for a batch of query images.
+
+        The (shots, query image) context is prefilled once into a key/value
+        cache (:meth:`TransformerLM._decode`), then each step runs the
+        blocks over the newest caption token only. The captions are
+        token-identical to re-running the forward over the whole sequence
+        each step; the logits are not bit for bit (BLAS rounding)."""
         b = query_feats.shape[0]
         caption = np.zeros((b, 0), dtype=np.int64)
+        h0 = self._embed_sequence(shots, query_feats, caption)
+        cache = {}
         for _ in range(length):
-            h0 = self._embed_sequence(shots, query_feats, caption)
-            logits = self._forward_embeddings(h0)[:, -1, :]
-            nxt = np.argmax(logits, axis=-1)[:, None]
+            nxt = np.argmax(self.lm._decode(h0, cache), axis=-1)[:, None]
             caption = np.concatenate([caption, nxt], axis=1)
+            h0 = self.lm.embed[nxt]
         return caption
 
 

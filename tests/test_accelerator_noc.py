@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accelerator import OutlierHalfProduct, ReCoN, ReconTrace, merge_halves
+from repro.hw import OutlierHalfProduct, ReCoN, ReconTrace, merge_halves
 
 
 def build_ports(cols, outliers, inliers, iact, iaccs):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accelerator import (
+from repro.hw import (
     MODE_2B,
     MODE_4B,
     MultiPrecisionPE,

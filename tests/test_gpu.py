@@ -52,7 +52,7 @@ class TestCostModel:
 
     def test_fp16_memory_bound(self):
         """FP16 decode time is ~weights/HBM-bandwidth."""
-        from repro.accelerator.workloads import GEOMETRIES
+        from repro.hw.workloads import GEOMETRIES
 
         geom = GEOMETRIES["llama2-7b"]
         lower_ms = geom.quantized_params * 2 / (A100.hbm_gbps * 1e6)

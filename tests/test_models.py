@@ -15,8 +15,9 @@ from repro.models import (
     plant_outliers,
 )
 from repro.baselines.registry import get_quantizer
-from repro.core.substrate import calibration_groups, get_substrate
-from repro.models.transformer import TransformerLM
+from repro.core.substrate import _vlm_bundle, calibration_groups, get_substrate
+from repro.models.transformer import TransformerLM, _softmax
+from repro.models.vlm import CAPTION_LEN
 from repro.quant import outlier_stats
 from repro.quant.activation import ActivationQuantizer
 from repro.quant.engine import HessianStore, quantize_model
@@ -122,6 +123,16 @@ class TestTransformerLM:
         lm = build_model("opt-6.7b", max_len=256)
         tokens = np.zeros((1, 200), dtype=np.int64)
         assert lm.forward(tokens).shape == (1, 200, lm.profile.vocab)
+
+    def test_positions_past_max_len_rejected(self):
+        lm = build_model("opt-6.7b")
+        n = lm.max_len
+        with pytest.raises(ValueError, match="max_len"):
+            lm.forward(np.zeros((1, n + 1), dtype=np.int64))
+        with pytest.raises(ValueError, match="max_len"):
+            lm.sample(2, n + 2, np.random.default_rng(0))
+        # The last token needs no position of its own.
+        assert lm.sample(2, n + 1, np.random.default_rng(0)).shape == (2, n + 1)
 
 
 class TestCnn:
@@ -362,3 +373,123 @@ class TestCalibrationResume:
         model, calib = resumable
         quantize_model(model, "rtn", 4, calib=calib)
         assert len(linear_calls) <= 28 * model.profile.n_layers
+
+
+def _sample_reference(model, n_sequences, seq_len, rng):
+    """``TransformerLM.sample`` without a key/value cache: the forward over
+    the whole prefix for every new token."""
+    v = model.profile.vocab
+    tokens = rng.integers(0, v, size=(n_sequences, 1))
+    for _ in range(seq_len - 1):
+        logits = model.forward(tokens)[:, -1, :]
+        probs = _softmax(logits, axis=-1)
+        nxt = np.array(
+            [rng.choice(v, p=probs[i]) for i in range(n_sequences)]
+        )[:, None]
+        tokens = np.concatenate([tokens, nxt], axis=1)
+    return tokens
+
+
+def _captions_reference(vlm, shots, query_feats, length=CAPTION_LEN):
+    """``VisionLanguageModel.generate_captions`` without a key/value cache:
+    the forward over the whole sequence for every new caption token."""
+    b = query_feats.shape[0]
+    caption = np.zeros((b, 0), dtype=np.int64)
+    for _ in range(length):
+        h0 = vlm._embed_sequence(shots, query_feats, caption)
+        logits = vlm._forward_embeddings(h0)[:, -1, :]
+        nxt = np.argmax(logits, axis=-1)[:, None]
+        caption = np.concatenate([caption, nxt], axis=1)
+    return caption
+
+
+def _assert_logits_close(step, full):
+    """The golden-snapshot tolerance: 64 ulp of the largest logit."""
+    tol = 64 * np.finfo(np.float64).eps * np.max(np.abs(full))
+    assert np.max(np.abs(step - full)) <= tol
+
+
+@pytest.fixture
+def linear_rows(monkeypatch):
+    """Rows (batch x positions) of every input to ``TransformerLM._linear``
+    from here on."""
+    rows = []
+    linear = TransformerLM._linear
+
+    def spy(self, name, x, capture):
+        rows.append(x.shape[0] * x.shape[1])
+        return linear(self, name, x, capture)
+
+    monkeypatch.setattr(TransformerLM, "_linear", spy)
+    return rows
+
+
+class TestCachedDecoding:
+    """``sample`` and ``generate_captions`` decode with a key/value cache:
+    one block pass per new token, the same tokens as the uncached loop."""
+
+    @pytest.mark.parametrize("family", list(MODEL_FAMILIES))
+    def test_samples_equal_uncached_loop(self, family):
+        model = build_model(family)
+        cached = model.sample(4, 24, np.random.default_rng(3))
+        assert np.array_equal(cached, _sample_reference(model, 4, 24, np.random.default_rng(3)))
+
+    @pytest.mark.parametrize("family", ["opt-6.7b", "llama2-13b"])
+    @pytest.mark.parametrize(
+        "n, s, offset", [(32, 32, 7_000), (24, 32, 9_000)], ids=["eval", "calib"]
+    )
+    def test_benchmark_corpora_equal_uncached_loop(self, family, n, s, offset):
+        model = build_model(family)
+        seed = model.profile.seed + offset
+        cached = model.sample(n, s, np.random.default_rng(seed))
+        assert np.array_equal(cached, _sample_reference(model, n, s, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("family", list(MODEL_FAMILIES))
+    def test_decode_logits_within_tolerance_of_forward(self, family):
+        model = build_model(family)
+        tokens = np.random.default_rng(4).integers(0, model.profile.vocab, (3, 32))
+        cache = {}
+        for t in range(tokens.shape[1]):
+            step = model._decode(model.embed[tokens[:, t : t + 1]], cache)
+            _assert_logits_close(step, model.forward(tokens[:, : t + 1])[:, -1])
+
+    @pytest.mark.parametrize("shots", [0, 4])
+    def test_captions_equal_uncached_loop(self, shots):
+        vlm = build_vlm("llava1.5-7b")
+        shot_list, query, _ = _vlm_bundle("llava1.5-7b")
+        assert np.array_equal(
+            vlm.generate_captions(shot_list[:shots], query),
+            _captions_reference(vlm, shot_list[:shots], query),
+        )
+
+    def test_caption_reference_bundle_equals_uncached_loop(self):
+        shot_list, query, reference = _vlm_bundle("llava1.5-7b")
+        uncached = _captions_reference(build_vlm("llava1.5-7b"), shot_list, query)
+        assert np.array_equal(reference, uncached)
+
+    def test_vlm_decode_logits_within_tolerance_of_forward(self):
+        vlm = build_vlm("llava1.5-7b")
+        shot_list, query, reference = _vlm_bundle("llava1.5-7b")
+        context = vlm._embed_sequence(shot_list[:4], query, reference[:, :0])
+        cache = {}
+        step = vlm.lm._decode(context, cache)
+        _assert_logits_close(step, vlm._forward_embeddings(context)[:, -1])
+        for t in range(reference.shape[1]):
+            step = vlm.lm._decode(vlm.lm.embed[reference[:, t : t + 1]], cache)
+            full = vlm._embed_sequence(shot_list[:4], query, reference[:, : t + 1])
+            _assert_logits_close(step, vlm._forward_embeddings(full)[:, -1])
+
+    @pytest.mark.parametrize("family", ["opt-6.7b", "llama2-13b"])
+    def test_one_block_pass_per_new_token(self, family, linear_rows):
+        """7 linears x L blocks over n rows per step; the uncached loop
+        passed 7·L·n·s(s-1)/2 rows."""
+        model = build_model(family)
+        n, s = 3, 10
+        model.sample(n, s, np.random.default_rng(5))
+        assert sum(linear_rows) == 7 * model.profile.n_layers * n * (s - 1)
+
+    def test_kv_quant_rejected(self):
+        model = build_model("opt-6.7b")
+        model.kv_quant = lambda k, v: (k, v)
+        with pytest.raises(ValueError, match="kv_quant"):
+            model.sample(2, 4, np.random.default_rng(6))

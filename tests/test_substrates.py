@@ -16,12 +16,17 @@ from repro.baselines.registry import get_quantizer
 from repro.core.substrate import (
     SUBSTRATES,
     Substrate,
+    _cnn_bundle,
+    _lm_task_labels,
+    _ssm_bundle,
+    _vlm_bundle,
     calibration_groups,
     get_substrate,
     known_substrates,
     substrate_families,
     substrate_for_model,
 )
+from repro.eval.corpus import eval_corpus
 from repro.eval.harness import evaluate_setting, quantize_model
 from repro.quant.engine import HessianStore
 
@@ -41,6 +46,23 @@ UNKNOWN_LINEARS = {
     "cnn": ["conv9", "conv"],
     "ssm": ["w_nope"],
 }
+
+# The per-process cached evaluation inputs of each substrate.
+EVAL_INPUTS = {
+    "lm": lambda model: (eval_corpus(model), _lm_task_labels(model.profile.name, "piqa")),
+    "vlm": lambda model: _vlm_bundle(model.profile.name),
+    "cnn": lambda model: _cnn_bundle(model.profile.name),
+    "ssm": lambda model: _ssm_bundle(model.profile.name),
+}
+
+
+def _arrays(tree):
+    """Every ndarray in nested tuples and lists."""
+    if isinstance(tree, np.ndarray):
+        yield tree
+    elif isinstance(tree, (tuple, list)):
+        for item in tree:
+            yield from _arrays(item)
 
 
 @pytest.fixture(scope="module", params=sorted(SUBSTRATES))
@@ -90,6 +112,17 @@ class TestProtocol:
         for bad in UNKNOWN_LINEARS[sub.name]:
             with pytest.raises(KeyError, match=re.escape(repr(bad))):
                 model.collect_calibration(calib, names=[model.linear_names[0], bad])
+
+    @pytest.mark.parametrize("inputs", ["calibration", "evaluation"])
+    def test_cached_inputs_read_only(self, sub, model, inputs):
+        """Every job in a process is handed the same cached arrays, so an
+        in-place write must fail instead of changing later jobs' inputs."""
+        get = sub.calibration if inputs == "calibration" else EVAL_INPUTS[sub.name]
+        arrays = list(_arrays(get(model)))
+        assert arrays
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] += 1
 
     def test_groups_partition_linear_names_in_order(self, sub, model):
         groups = calibration_groups(model)
