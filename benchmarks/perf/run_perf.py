@@ -8,9 +8,10 @@ named span, not just a wall-clock delta:
 
 * ``quantize_matrix`` — the single-matrix MicroScopiQ kernel
   (``kernel:quantize_matrix``), median of N repeats;
-* ``engine.<substrate>/<family>`` — one whole-model engine quantize per
-  substrate, with the engine span broken down into calibrate / layer /
-  kernel time;
+* ``engine.<substrate>/<family>`` — one whole-model MicroScopiQ engine
+  quantize per substrate, with the engine span broken down into calibrate /
+  layer / kernel time; ``engine.lm.gptq`` runs GPTQ W4 on the same LM,
+  where the ``layer`` self time is GPTQ's column walk;
 * ``sweep.cold`` / ``sweep.warm`` — a small codesign sweep against a fresh
   cache, then the identical sweep again (pure cache lookups);
 * ``simulate`` — accelerator-simulation throughput
@@ -108,14 +109,16 @@ def bench_quantize_matrix(repeats: int) -> Dict[str, Any]:
     }
 
 
-def bench_engine(substrate: str, family: str) -> Dict[str, Any]:
+def bench_engine(
+    substrate: str, family: str, method: str = "microscopiq"
+) -> Dict[str, Any]:
     from repro.core.substrate import get_substrate
     from repro.quant.engine import quantize_model
 
     model = get_substrate(substrate).build(family)
     tree = _capture(
         f"bench:engine:{substrate}",
-        lambda: quantize_model(model, "microscopiq", 4),
+        lambda: quantize_model(model, method, 4),
     )
     agg = _by_name(tree)
     spans = {
@@ -216,6 +219,8 @@ def run(repeats: int) -> Dict[str, Any]:
     for substrate, family in ENGINE_MODELS:
         print(f"engine quantize {substrate}/{family} ...", flush=True)
         benches[f"engine.{substrate}"] = bench_engine(substrate, family)
+    print("engine quantize lm/opt-6.7b with gptq ...", flush=True)
+    benches["engine.lm.gptq"] = bench_engine("lm", "opt-6.7b", method="gptq")
     print("cold/warm sweep ...", flush=True)
     benches["sweep"] = bench_sweep()
     print(f"simulate x{repeats} ...", flush=True)

@@ -13,6 +13,8 @@ from typing import Any, Dict
 
 import numpy as np
 
+from ..formats.scalar import int_max
+
 __all__ = ["BaselineResult", "group_float_scale", "rtn_group_quantize"]
 
 
@@ -73,7 +75,7 @@ def group_float_scale(
     block: np.ndarray, bits: int, clip_ratio: float = 1.0
 ) -> np.ndarray:
     """Per-row float symmetric scale for one group (standard RTN scaling)."""
-    maxq = 2 ** (bits - 1) - 1
+    maxq = int_max(bits)
     amax = np.max(np.abs(block), axis=-1, keepdims=True) * clip_ratio
     scale = amax / maxq
     return np.where(scale == 0.0, 1.0, scale)
@@ -84,7 +86,7 @@ def rtn_group_quantize(
 ) -> np.ndarray:
     """Round-to-nearest group quantization along the last axis (float scale)."""
     w = np.asarray(weights, dtype=np.float64)
-    maxq = 2 ** (bits - 1) - 1
+    maxq = int_max(bits)
     out = np.empty_like(w)
     n = w.shape[-1]
     for g in range(0, n, group_size):

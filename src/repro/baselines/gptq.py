@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..formats.scalar import int_max
 from ..methods.resources import HessianBundle
 from ..quant.kernel import BlockQuantKernel
 from ..quant.vector import resolve_kernel_path
@@ -44,39 +45,54 @@ def gptq_core(
     updated weights at every boundary, so any lazy-batch (GEMM) deferral of
     the trailing updates reassociates their summation and perturbs the next
     group's scale in the last ulp — unlike MicroScopiQ's fixed power-of-two
-    scales, that is observable. The ``"vector"`` path therefore keeps the
-    exact per-column update order and only strips the per-column
-    stage-dispatch overhead (the working-copy allocation per
-    ``propagate_block_error`` call); its wins come from the engine's
-    row-stacked shape batching, which is exactly row-independent. Both paths
-    are bit-identical — asserted against the golden snapshots.
+    scales, that is observable. Both paths therefore keep the exact
+    per-column update order, on a transposed working copy ``wt``
+    (``[d_in, d_out]``, C-contiguous) in which weight column ``p`` is the
+    contiguous row ``wt[p]``. The ``"vector"`` path writes each rank-1
+    update ``u[p, p+1:, None] * err`` into a slice of one preallocated
+    buffer and subtracts it in place, allocating nothing per column; the
+    ``"reference"`` path hands :meth:`BlockQuantKernel.propagate_block_error`
+    transposed views of the same storage. Each element gets the same IEEE
+    product and subtraction, in the same order, as
+    ``w[:, p+1:] -= np.outer(err, u[p, p+1:])`` on the untransposed weights
+    (multiplication commutes exactly), and a group scale is a ``max`` over
+    ``wt[lo:hi].T``, which no order changes. Both paths are bit-identical —
+    asserted against the golden snapshots. Beyond the walk, the vector
+    path's wins come from the engine's row-stacked shape batching, which is
+    exactly row-independent. The result is a new C-contiguous
+    ``[d_out, d_in]`` array, the layout every later forward's ``x @ w.T``
+    reads.
     """
-    w = np.array(weights, dtype=np.float64)
-    d_out, d_in = w.shape
+    wt = np.asarray(weights, dtype=np.float64).T.copy()
+    d_in = wt.shape[0]
     u = HessianBundle.wrap(hessian).u_factor
-    q = np.zeros_like(w)
+    qt = np.zeros_like(wt)
     kernel = BlockQuantKernel(group_size, detect_outliers=False)
     vector = resolve_kernel_path(kernel_path) == "vector"
+    update = np.empty_like(wt) if vector else None
     for lo, hi in kernel.blocks(d_in):
         group_bits = int(bits_per_col[lo])
-        scale = group_float_scale(w[:, lo:hi], group_bits, clip_ratio)[:, 0]
+        group_maxq = int_max(group_bits)
+        scale = group_float_scale(wt[lo:hi].T, group_bits, clip_ratio)[:, 0]
         for p in range(lo, hi):
             bits = int(bits_per_col[p])
-            maxq = 2 ** (bits - 1) - 1
+            maxq = int_max(bits)
             # A column with more bits than the group reference keeps the group
             # scale but uses its own wider clip range.
-            col_scale = scale * (2 ** (group_bits - 1) - 1) / maxq if bits != group_bits else scale
-            q[:, p] = np.clip(np.rint(w[:, p] / col_scale), -maxq, maxq) * col_scale
+            col_scale = scale * group_maxq / maxq if bits != group_bits else scale
+            qt[p] = np.clip(np.rint(wt[p] / col_scale), -maxq, maxq) * col_scale
             if vector:
                 # Inlined single-column OBS update: identical float ops to
                 # propagate_block_error(w, q, u, p, p+1), minus its
                 # working-copy/slice machinery.
-                err = (w[:, p] - q[:, p]) / u[p, p]
+                err = (wt[p] - qt[p]) / u[p, p]
                 if p + 1 < d_in:
-                    w[:, p + 1 :] -= np.outer(err, u[p, p + 1 :])
+                    rows = update[p + 1 :]
+                    np.multiply(u[p, p + 1 :, None], err, out=rows)
+                    wt[p + 1 :] -= rows
             else:
-                kernel.propagate_block_error(w, q, u, p, p + 1)
-    return q
+                kernel.propagate_block_error(wt.T, qt.T, u, p, p + 1)
+    return qt.T.copy()
 
 
 def quantize_gptq(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..formats.scalar import int_max
 from ..quant.kernel import BlockQuantKernel
 from ..quant.vector import resolve_kernel_path
 from .base import BaselineResult, group_float_scale
@@ -63,7 +64,7 @@ def quantize_olive(
     """OliVe outlier-victim-pair quantization (ignores calibration data)."""
     w = np.asarray(weights, dtype=np.float64)
     d_out, d_in = w.shape
-    maxq = 2 ** (bits - 1) - 1
+    maxq = int_max(bits)
     dq = np.empty_like(w)
     n_victim_outliers = 0
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..formats.scalar import int_max
 from ..quant.activation import ActivationQuantizer, apply_migration
 from .base import BaselineResult, group_float_scale
 
@@ -31,7 +32,7 @@ def _lwc_quantize(
     The error metric is Hessian-diagonal-weighted when calibration inputs
     are available (column importance ~ E[x_j^2]), else plain MSE.
     """
-    maxq = 2 ** (bits - 1) - 1
+    maxq = int_max(bits)
     col_weight = None
     if x is not None:
         col_weight = np.mean(x**2, axis=0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..formats.scalar import int_max
 from .base import BaselineResult, rtn_group_quantize
 
 __all__ = ["quantize_rtn"]
@@ -24,7 +25,7 @@ def quantize_rtn(
     """
     if per_tensor:
         w = np.asarray(weights, dtype=np.float64)
-        maxq = 2 ** (bits - 1) - 1
+        maxq = int_max(bits)
         amax = float(np.max(np.abs(w)))
         scale = amax / maxq if amax > 0.0 else 1.0
         dq = np.clip(np.rint(w / scale), -maxq, maxq) * scale

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..formats.scalar import int_max
 from ..quant.kernel import BlockQuantKernel
 from .omniquant import _lwc_quantize
 from .base import BaselineResult, rtn_group_quantize
@@ -63,7 +64,7 @@ def quantize_sdq(
     # The sparse tensor shares one scale per output row (a structured-sparse
     # kernel streams the whole row's N:M values against a single scalar).
     hi_bits = 2 * bits
-    maxq = 2 ** (hi_bits - 1) - 1
+    maxq = int_max(hi_bits)
     sparse_vals = np.where(sparse_mask, w, 0.0)
     amax = np.max(np.abs(sparse_vals), axis=1, keepdims=True)
     scale = np.where(amax == 0.0, 1.0, amax / maxq)

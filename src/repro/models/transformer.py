@@ -18,6 +18,14 @@ The class exposes exactly what a PTQ framework needs:
   by BLAS rounding only, so identity is of tokens, not bits);
 * weight overrides + per-linear activation fake-quantizers, which is how
   quantized variants are materialized without copying the model.
+
+Each linear runs as one 2-D GEMM over the flattened ``[batch·seq, d]``
+input, and the elementwise ops (SiLU, softmax, the attention scale and
+mask, the SwiGLU product) run in place. Aliasing rule: an op writes in place
+only to a buffer its own function has just allocated — never to the
+residual stream ``h`` (the calibration resume record holds it), an input
+:class:`_Capture` has stored, a cached key or value, or a caller's
+argument.
 """
 
 from __future__ import annotations
@@ -42,13 +50,24 @@ def _rmsnorm(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 
 def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    x = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    d = np.clip(x, -60.0, 60.0)
+    np.negative(d, out=d)
+    np.exp(d, out=d)
+    d += 1.0
+    return np.divide(x, d, out=d)
+
+
+def _dense(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w.T`` as one 2-D GEMM over the flattened leading axes of ``x``
+    (a 3-D matmul would run one GEMM per batch row); a new array."""
+    return (x.reshape(-1, x.shape[-1]) @ w.T).reshape(*x.shape[:-1], w.shape[0])
 
 
 def _sinusoidal_positions(max_len: int, d_model: int) -> np.ndarray:
@@ -129,12 +148,16 @@ class TransformerLM:
     def _linear(
         self, name: str, x: np.ndarray, capture: Optional[_Capture]
     ) -> np.ndarray:
+        """``x @ w.T`` for the linear ``name`` (see :func:`_dense`).
+        ``capture`` stores ``x`` itself, so nothing may write to ``x``
+        afterwards; the result is a new array that the caller may
+        overwrite."""
         if capture is not None:
             capture.take(name, x)
         aq = self.act_quant.get(name)
         if aq is not None:
             x = aq(x)
-        return x @ self._w(name).T
+        return _dense(x, self._w(name))
 
     # -------------------------------------------------------------- forward
     def forward(self, tokens: np.ndarray) -> np.ndarray:
@@ -147,7 +170,9 @@ class TransformerLM:
         """Logits for input embeddings ``[batch, seq, d_model]`` (the token
         lookup or the VLM's image/caption sequence); positions added here."""
         h = self._blocks(self._stream(h0), 0, self.profile.n_layers, capture)
-        return (_rmsnorm(h) @ self.embed.T) * self.profile.logit_gain
+        logits = _dense(_rmsnorm(h), self.embed)
+        logits *= self.profile.logit_gain
+        return logits
 
     def _decode(self, h0: np.ndarray, cache: dict) -> np.ndarray:
         """One cached decoding step: logits ``[batch, vocab]`` at the last
@@ -192,7 +217,11 @@ class TransformerLM:
         of the ``past`` positions before ``h``. The positions of ``h``
         attend over those and their own, which are appended in place. With
         no cache (or an empty one) ``past`` is 0 and the causal mask is the
-        full sequence's."""
+        full sequence's.
+
+        In-place ops here write only to arrays this loop has just made (the
+        attention scores, the SiLU output); ``h`` itself is never written,
+        as the resume record of :meth:`collect_calibration` may hold it."""
         p = self.profile
         b, seq, _ = h.shape
         n_heads = p.n_heads
@@ -218,15 +247,17 @@ class TransformerLM:
                     kh = np.concatenate((cache[i][0], kh), axis=2)
                     vh = np.concatenate((cache[i][1], vh), axis=2)
                 cache[i] = kh, vh
-            att = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(d_head)
-            att = _softmax(att + mask[None, None, :, :])
+            att = qh @ kh.transpose(0, 1, 3, 2)
+            att /= np.sqrt(d_head)
+            att += mask
+            att = _softmax(att)
             ctx = (att @ vh).transpose(0, 2, 1, 3).reshape(b, seq, p.d_model)
             h = h + self._linear(f"layers.{i}.wo", ctx, capture)
 
             x = _rmsnorm(h)
             gate = _silu(self._linear(f"layers.{i}.w1", x, capture))
-            up = self._linear(f"layers.{i}.w3", x, capture)
-            h = h + self._linear(f"layers.{i}.w2", gate * up, capture)
+            gate *= self._linear(f"layers.{i}.w3", x, capture)
+            h = h + self._linear(f"layers.{i}.w2", gate, capture)
         return h
 
     def logits(self, tokens: np.ndarray) -> np.ndarray:

@@ -6,12 +6,20 @@ Every method runs through the first-class :mod:`repro.methods` lifecycle
 ``QUANTIZERS`` dict is exercised once, as the deprecated shim it now is.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.baselines import get_quantizer
+import repro.baselines as baselines
+from repro.baselines import get_quantizer, gptq_core, group_float_scale
+from repro.eval.harness import evaluate_setting
 from repro.methods import METHODS, get_method, known_method_names
+from repro.methods.resources import HessianBundle
+from repro.pipeline import ResultCache, SweepSpec, run_sweep
+from repro.quant.kernel import BlockQuantKernel
 from repro.quant.outliers import outlier_mask
+from repro.quant.vector import resolve_kernel_path
 
 ALL_METHODS = known_method_names()
 
@@ -242,3 +250,108 @@ class TestAwqOmniquant:
         res = METHODS["omniquant"].quantize(weights, calib, bits=4, act_bits=8)
         assert "act_quantizer" in res.meta
         assert res.meta["mode"] == "weight-activation"
+
+
+def _gptq_reference(
+    weights, hessian, bits_per_col, group_size=128, clip_ratio=1.0, kernel_path=None
+):
+    """``gptq_core`` as it was before it walked a transposed working copy:
+    strided column reads and one ``np.outer`` temporary per column."""
+    w = np.array(weights, dtype=np.float64)
+    d_out, d_in = w.shape
+    u = HessianBundle.wrap(hessian).u_factor
+    q = np.zeros_like(w)
+    kernel = BlockQuantKernel(group_size, detect_outliers=False)
+    vector = resolve_kernel_path(kernel_path) == "vector"
+    for lo, hi in kernel.blocks(d_in):
+        group_bits = int(bits_per_col[lo])
+        scale = group_float_scale(w[:, lo:hi], group_bits, clip_ratio)[:, 0]
+        for p in range(lo, hi):
+            bits = int(bits_per_col[p])
+            maxq = 2 ** (bits - 1) - 1
+            col_scale = scale * (2 ** (group_bits - 1) - 1) / maxq if bits != group_bits else scale
+            q[:, p] = np.clip(np.rint(w[:, p] / col_scale), -maxq, maxq) * col_scale
+            if vector:
+                err = (w[:, p] - q[:, p]) / u[p, p]
+                if p + 1 < d_in:
+                    w[:, p + 1 :] -= np.outer(err, u[p, p + 1 :])
+            else:
+                kernel.propagate_block_error(w, q, u, p, p + 1)
+    return q
+
+
+# Uniform widths, then Atom-style mixes: (outlier-channel bits, other bits).
+_GPTQ_BITS = [(2, 2), (4, 4), (8, 8), (8, 4), (8, 2)]
+# (group_size, clip_ratio, pass a HessianBundle instead of the raw H).
+_GPTQ_SETTINGS = [
+    (g, c, bundle) for g in (128, 32) for c in (1.0, 0.75) for bundle in (False, True)
+]
+_GPTQ_SHAPES = [(o, i) for o in (1, 7, 288, 768) for i in (1, 5, 96, 130, 384)]
+
+
+class TestGptqCoreTransposedWalk:
+    """``gptq_core`` walks a transposed, C-contiguous working copy. Each
+    output must equal the untransposed column walk bit for bit, on both
+    kernel paths, and come back C-contiguous ``[d_out, d_in]``."""
+
+    @pytest.mark.parametrize("kernel_path", ["vector", "reference"])
+    @pytest.mark.parametrize("d_out, d_in", _GPTQ_SHAPES)
+    def test_equals_untransposed_walk(self, d_out, d_in, kernel_path):
+        rng = np.random.default_rng(1000 * d_out + d_in)
+        w = rng.normal(0.0, 0.02, (d_out, d_in))
+        w[rng.random(w.shape) < 0.01] *= 6.0
+        x = rng.normal(0.0, 1.0, (2 * d_in + 4, d_in))
+        h = x.T @ x + 0.01 * np.eye(d_in)
+        for k, (hi_bits, lo_bits) in enumerate(_GPTQ_BITS):
+            bits_per_col = np.where(rng.random(d_in) < 0.15, hi_bits, lo_bits)
+            # Each shape sees every width once, under a setting that rotates
+            # through all eight across the grid.
+            group_size, clip, bundle = _GPTQ_SETTINGS[(k + d_out + d_in) % 8]
+            hessian = HessianBundle(h=h) if bundle else h
+            args = (w, hessian, bits_per_col, group_size, clip, kernel_path)
+            got = gptq_core(*args)
+            assert got.flags["C_CONTIGUOUS"] and got.shape == (d_out, d_in)
+            assert np.array_equal(got, _gptq_reference(*args))
+
+    def test_leaves_its_arguments_alone(self):
+        rng = np.random.default_rng(7)
+        w = np.asfortranarray(rng.normal(0.0, 1.0, (12, 40)))
+        h = np.eye(40) * 2.0
+        snapshot = w.copy()
+        gptq_core(w, h, np.full(40, 4), 16)
+        assert np.array_equal(w, snapshot)
+
+
+# The baselines whose integer grids need a sign bit and one magnitude bit.
+_INT_BASELINES = ["atom", "awq", "gptq", "olive", "omniquant", "rtn", "sdq", "smoothquant"]
+
+
+class TestOneBitWeights:
+    """A 1-bit symmetric integer grid has no magnitude level: every method
+    either raises or stays finite, and a sweep never caches a NaN."""
+
+    @pytest.mark.parametrize("name", _INT_BASELINES)
+    def test_integer_baselines_raise(self, weights, calib, name):
+        quantize = getattr(baselines, f"quantize_{name}")
+        with pytest.raises(ValueError, match="got 1"):
+            quantize(weights, calib, bits=1)
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    def test_evaluate_setting_finite_or_raises(self, method):
+        try:
+            metrics = evaluate_setting(
+                "opt-6.7b", method, w_bits=1, eval_sequences=8, eval_seq_len=24
+            )
+        except (ValueError, RuntimeError):
+            return
+        floats = [v for v in metrics.values() if isinstance(v, float)]
+        assert floats and all(math.isfinite(v) for v in floats)
+
+    def test_sweep_reports_failure_and_caches_nothing(self, tmp_path):
+        spec = SweepSpec(
+            families=("opt-6.7b",), methods=("gptq",), w_bits=(1,),
+            eval_sequences=8, eval_seq_len=24,
+        )
+        result = run_sweep(spec, cache_dir=str(tmp_path), executor="serial")
+        assert not result.ok and len(result.failures()) == 1
+        assert list(ResultCache(str(tmp_path)).entries()) == []

@@ -16,7 +16,8 @@ from repro.models import (
 )
 from repro.baselines.registry import get_quantizer
 from repro.core.substrate import _vlm_bundle, calibration_groups, get_substrate
-from repro.models.transformer import TransformerLM, _softmax
+from repro.eval.perplexity import nll_per_sequence
+from repro.models.transformer import TransformerLM, _rmsnorm, _silu, _softmax
 from repro.models.vlm import CAPTION_LEN
 from repro.quant import outlier_stats
 from repro.quant.activation import ActivationQuantizer
@@ -493,3 +494,160 @@ class TestCachedDecoding:
         model.kv_quant = lambda k, v: (k, v)
         with pytest.raises(ValueError, match="kv_quant"):
             model.sample(2, 4, np.random.default_rng(6))
+
+
+def _softmax_reference(x, axis=-1):
+    x = x - np.max(x, axis=axis, keepdims=True)
+    e = np.exp(x)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def _silu_reference(x):
+    return x / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+
+
+def _linear_reference(model, name, x, acts):
+    """One linear on a 3-D input (numpy then runs one GEMM per batch row),
+    recording its input in ``acts`` as ``collect_calibration`` does."""
+    acts.setdefault(name, []).append(x.reshape(-1, x.shape[-1]))
+    aq = model.act_quant.get(name)
+    if aq is not None:
+        x = aq(x)
+    return x @ model._w(name).T
+
+
+def _forward_reference(model, h0):
+    """Logits and per-linear inputs of the uncached forward over input
+    embeddings ``h0``, in the arithmetic the decoder had before its linears
+    became one 2-D GEMM and its elementwise ops ran in place."""
+    p = model.profile
+    acts = {}
+    h = model._stream(h0)
+    b, seq, _ = h.shape
+    n_heads = p.n_heads
+    d_head = p.d_model // n_heads
+    mask = np.triu(np.full((seq, seq), -1e30), k=1)
+
+    def heads(t):
+        return t.reshape(b, seq, n_heads, d_head).transpose(0, 2, 1, 3)
+
+    for i in range(p.n_layers):
+        x = _rmsnorm(h)
+        q = _linear_reference(model, f"layers.{i}.wq", x, acts)
+        k = _linear_reference(model, f"layers.{i}.wk", x, acts)
+        v = _linear_reference(model, f"layers.{i}.wv", x, acts)
+        if model.kv_quant is not None:
+            for bi in range(b):
+                k[bi], v[bi] = model.kv_quant(k[bi], v[bi])
+        qh, kh, vh = heads(q), heads(k), heads(v)
+        att = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(d_head)
+        att = _softmax_reference(att + mask[None, None, :, :])
+        ctx = (att @ vh).transpose(0, 2, 1, 3).reshape(b, seq, p.d_model)
+        h = h + _linear_reference(model, f"layers.{i}.wo", ctx, acts)
+
+        x = _rmsnorm(h)
+        gate = _silu_reference(_linear_reference(model, f"layers.{i}.w1", x, acts))
+        up = _linear_reference(model, f"layers.{i}.w3", x, acts)
+        h = h + _linear_reference(model, f"layers.{i}.w2", gate * up, acts)
+    logits = (_rmsnorm(h) @ model.embed.T) * p.logit_gain
+    return logits, {name: np.concatenate(c, axis=0) for name, c in acts.items()}
+
+
+class _ReferenceLM:
+    """``model`` with :func:`_forward_reference` as its forward, so the
+    evaluation code scores the reference logits."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def forward(self, tokens):
+        return _forward_reference(self.model, self.model.embed[np.atleast_2d(tokens)])[0]
+
+
+def _assert_decoder_equals_reference(model, calib, h0, tokens):
+    """Logits, full and per-group targeted calibration, and per-sequence
+    NLL of ``model`` (an LM or a VLM) equal the reference arithmetic's bit
+    for bit. ``h0`` is the input embedding of ``calib``; ``tokens`` an
+    evaluation corpus."""
+    lm = getattr(model, "lm", model)
+    ref_logits, ref_acts = _forward_reference(lm, h0)
+    assert np.array_equal(lm._forward_embeddings(h0), ref_logits)
+    full = model.collect_calibration(calib)
+    assert list(full) == list(ref_acts)
+    for name, act in full.items():
+        assert np.array_equal(act, ref_acts[name]), name
+    for group in calibration_groups(model):
+        part = model.collect_calibration(calib, names=group)
+        for name in group:
+            assert np.array_equal(part[name], ref_acts[name]), name
+    assert np.array_equal(
+        nll_per_sequence(lm, tokens), nll_per_sequence(_ReferenceLM(lm), tokens)
+    )
+
+
+def _quantize_two_inputs(model):
+    lm = getattr(model, "lm", model)
+    last = lm.profile.n_layers - 1
+    lm.act_quant["layers.0.wk"] = ActivationQuantizer(None, 8)
+    lm.act_quant[f"layers.{last}.w2"] = ActivationQuantizer(None, 4)
+
+
+def _kv_round(k, v):
+    return np.round(k, 1), np.round(v, 1)
+
+
+class TestDecoderArithmetic:
+    """The decoder runs each linear as one 2-D GEMM and its elementwise ops
+    in place; every output equals the 3-D, out-of-place arithmetic's."""
+
+    @pytest.mark.parametrize("n, s", [(32, 32), (24, 32)], ids=["32x32", "24x32"])
+    @pytest.mark.parametrize("family", list(MODEL_FAMILIES))
+    def test_lm_equals_reference(self, family, n, s):
+        model = build_model(family)
+        tokens = np.random.default_rng(n + s).integers(0, model.profile.vocab, (n, s))
+        h0 = model.embed[tokens]
+        _assert_decoder_equals_reference(model, tokens, h0, tokens)
+        _quantize_two_inputs(model)
+        _assert_decoder_equals_reference(model, tokens, h0, tokens)
+        model.kv_quant = _kv_round
+        assert np.array_equal(model.forward(tokens), _forward_reference(model, h0)[0])
+
+    def test_vlm_equals_reference(self):
+        vlm = build_vlm("vila-7b")
+        calib = get_substrate("vlm").calibration(vlm)
+        shots, query = calib
+        h0 = vlm._embed_sequence(shots, query, np.zeros((query.shape[0], 0), dtype=np.int64))
+        tokens = np.random.default_rng(0).integers(0, vlm.profile.vocab, (24, 32))
+        _assert_decoder_equals_reference(vlm, calib, h0, tokens)
+        _quantize_two_inputs(vlm)
+        _assert_decoder_equals_reference(vlm, calib, h0, tokens)
+        vlm.lm.kv_quant = _kv_round
+        assert np.array_equal(vlm._forward_embeddings(h0), _forward_reference(vlm.lm, h0)[0])
+
+
+class TestInPlaceAliasing:
+    """In-place ops write only to buffers their own function allocated."""
+
+    def test_calibration_arrays_survive_later_passes(self, resumable):
+        model, calib = resumable
+        groups = calibration_groups(model)
+        full = model.collect_calibration(calib)
+        part = model.collect_calibration(calib, names=groups[0])
+        kept = {k: v.copy() for k, v in [*full.items(), *part.items()]}
+        lm = getattr(model, "lm", model)
+        lm.forward(np.zeros((2, 9), dtype=np.int64))
+        lm.sample(2, 9, np.random.default_rng(0))
+        model.collect_calibration(calib, names=groups[1])
+        model.collect_calibration(calib, names=groups[4])
+        for name, act in [*full.items(), *part.items()]:
+            assert np.array_equal(act, kept[name]), name
+
+    @pytest.mark.parametrize("fn", [_silu, _softmax], ids=["silu", "softmax"])
+    def test_elementwise_ops_leave_input_alone(self, fn):
+        x = np.random.default_rng(1).normal(0.0, 40.0, (2, 3, 5, 7))
+        kept = x.copy()
+        out = fn(x)
+        assert np.array_equal(x, kept)
+        assert not np.shares_memory(out, x)
+        ref = _silu_reference(kept) if fn is _silu else _softmax_reference(kept)
+        assert np.array_equal(out, ref)
