@@ -14,8 +14,9 @@ named span, not just a wall-clock delta:
   where the ``layer`` self time is GPTQ's column walk;
 * ``sweep.cold`` / ``sweep.warm`` — a small codesign sweep against a fresh
   cache, then the identical sweep again (pure cache lookups);
-* ``simulate`` — accelerator-simulation throughput
-  (``kernel:simulate`` calls per second);
+* ``simulate`` — accelerator-simulation throughput (``kernel:simulate``
+  calls per second), cold (the ReCoN contention memo cleared before each
+  call) and warm;
 * ``corpus`` — cold sampling of the synthetic evaluation data (an LM's
   evaluation and calibration corpora, a VLM's reference captions), timed
   by wall clock with the per-process caches cleared before each repeat.
@@ -165,21 +166,29 @@ def bench_sweep() -> Dict[str, Any]:
 
 
 def bench_simulate(repeats: int) -> Dict[str, Any]:
+    from repro.hw import systolic
     from repro.hw.sim import run_hw_job
+
+    def calls(cold: bool) -> None:
+        for _ in range(repeats):
+            if cold:
+                systolic._contention.cache_clear()
+            run_hw_job("lm", "opt-6.7b", "microscopiq-v2", {})
 
     run_hw_job("lm", "opt-6.7b", "microscopiq-v2", {})  # warm registry lookups
     t0 = time.perf_counter()
-    tree = _capture(
-        "bench:simulate",
-        lambda: [run_hw_job("lm", "opt-6.7b", "microscopiq-v2", {}) for _ in range(repeats)],
-    )
-    wall = time.perf_counter() - t0
+    tree = _capture("bench:simulate", lambda: calls(cold=True))
+    cold_wall = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    _capture("bench:simulate:warm", lambda: calls(cold=False))
+    warm_wall = time.perf_counter() - t0
     sim = _by_name(tree)["kernel:simulate"]
     return {
         "workload": "lm/opt-6.7b on microscopiq-v2",
         "repeats": repeats,
         "sim_total_s": sim["total_s"],
-        "calls_per_s": round(repeats / wall, 2),
+        "calls_per_s": round(repeats / cold_wall, 2),
+        "warm_calls_per_s": round(repeats / warm_wall, 2),
     }
 
 

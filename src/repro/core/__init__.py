@@ -18,8 +18,8 @@ with pruning-based bit redistribution — is exposed here:
   method registry (capability flags, validated parameter schemas, the
   ``prepare``/``quantize_layer`` lifecycle) with
   :class:`HessianBundle` lazily-factored Hessian resources;
-* the accelerator co-design lives in :mod:`repro.accelerator`, the GPU
-  cost model in :mod:`repro.gpu`.
+* the accelerator co-design lives in :mod:`repro.hw`, the GPU cost model
+  in :mod:`repro.gpu`.
 
 Quickstart::
 

@@ -43,7 +43,7 @@ class LayerSpec:
     count: int = 1  # identical instances of this layer in the model
 
     def __post_init__(self) -> None:
-        for field in ("d_out", "d_in", "micro_block"):
+        for field in ("d_out", "d_in", "micro_block", "count", "bit_budget"):
             value = getattr(self, field)
             if value < 1:
                 raise ValueError(f"{field} must be >= 1, got {value}")

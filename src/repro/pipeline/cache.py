@@ -185,7 +185,9 @@ class DirectoryBackend:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as f:
-                json.dump(record, f, sort_keys=True)
+                # One `dumps` call runs the C encoder; `dump` streams through
+                # the pure-Python one. The bytes are the same.
+                f.write(json.dumps(record, sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             try:

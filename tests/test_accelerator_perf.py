@@ -1,5 +1,7 @@
 """Tests for the systolic performance model, area, energy, and arch models."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,10 @@ class TestLayerSpec:
             ("d_out", -64),
             ("d_in", 0),
             ("micro_block", 0),
+            ("count", 0),
+            ("count", -1),
+            ("bit_budget", 0),
+            ("bit_budget", -2),
             ("ebw", float("nan")),
             ("ebw", float("inf")),
             ("ebw", -2.0),
@@ -140,6 +146,8 @@ class TestBuildArrivals:
             self._check(np.array([0, 3, 3, 9]), 17, 64, 17 + period_pad, 10)
 
     def test_matches_loop_on_lm_workload_calls(self, monkeypatch):
+        # A memo warmed by earlier tests would hide the calls to capture.
+        systolic._contention.cache_clear()
         seen = {}
         build = systolic._build_arrivals
 
@@ -158,6 +166,78 @@ class TestBuildArrivals:
         assert any(len(offsets) for offsets in seen.values())
         for (_, m, n_tiles, period, tile_rows), offsets in seen.items():
             self._check(offsets, m, n_tiles, period, tile_rows)
+
+
+class TestReconMemo:
+    """The memoized contention run equals a fresh one, on the hw-grid shape."""
+
+    #: Distinct tile schedules in the grid, i.e. the memo's misses when cold
+    #: (6,804 contention calls in all).
+    GRID_SCHEDULES = 87
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        """``hw-grid``'s systolic simulations as ``label → simulate args``:
+        every systolic arch × LM family × prefill {1, 32, 128}, plus
+        n_recon {2, 4} on the two MicroScopiQ designs."""
+        grid = {}
+        for family in HW_WORKLOADS["lm"].families():
+            for prefill in (1, 32, 128):
+                workload = build_workload("lm", family, prefill=prefill)
+                for arch in SYSTOLIC_ARCHS:
+                    grid[arch, family, prefill, 1] = (arch, workload, None, None)
+                for arch in ("microscopiq-v1", "microscopiq-v2"):
+                    for n in (2, 4):
+                        grid[arch, family, prefill, n] = (
+                            arch, workload, AcceleratorConfig(n_recon=n), {"n_recon": n}
+                        )
+        return grid
+
+    @staticmethod
+    def _reports(grid):
+        return {
+            label: asdict(simulate(arch, workload, cfg, arch_knobs=knobs))
+            for label, (arch, workload, cfg, knobs) in grid.items()
+        }
+
+    def test_cached_results_match_fresh_runs(self, grid, monkeypatch):
+        systolic._contention.cache_clear()
+        seen = {}
+        memo = systolic._contention
+
+        def spy(*key):
+            result = memo(*key)
+            seen.setdefault(key, set()).add(result)
+            return result
+
+        monkeypatch.setattr(systolic, "_contention", spy)
+        self._reports(grid)
+        monkeypatch.undo()
+
+        assert any(key[0] for key in seen)  # some schedules have outlier rows
+        for key, results in seen.items():
+            k_out, tile_rows, m, sim_tiles, period, n_recon = key
+            offsets = np.linspace(0, tile_rows - 1, k_out).astype(np.int64)
+            fresh = recon_contention(
+                systolic._build_arrivals(offsets, m, sim_tiles, period, tile_rows),
+                n_recon,
+            )
+            assert results == {fresh}, key
+
+    def test_reports_equal_cold_and_warm(self, grid):
+        cold = {}
+        for label, args in grid.items():
+            systolic._contention.cache_clear()
+            cold.update(self._reports({label: args}))
+        assert self._reports(grid) == cold
+
+    def test_grid_runs_each_schedule_once(self, grid):
+        systolic._contention.cache_clear()
+        self._reports(grid)
+        info = systolic._contention.cache_info()
+        assert info.maxsize is not None
+        assert info.misses <= self.GRID_SCHEDULES
+        assert info.hits + info.misses == 6804
 
 
 class TestContention:

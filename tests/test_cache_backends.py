@@ -12,6 +12,7 @@ on forever.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -94,6 +95,21 @@ class TestBackendParity:
             cache.put("../../etc/passwd", record("evil"))
         with pytest.raises(ValueError, match="malformed"):
             cache.get("short")
+
+    def test_directory_file_is_sorted_json(self, tmp_path):
+        rec = {
+            "schema": 1,
+            "label": "μB W2 ⇒ microscopiq-v2",
+            "metrics": {"ppl": 12.345678901234567, "cycles": 1e21, "tiny": 5e-324},
+            "native": [{"phase": "prefill", "stats": {"macs": 3.0, "n": None}}],
+            "hw_kwargs": {"prefill": 128, "n_recon": 2, "flags": [True, False]},
+            "error": None,
+        }
+        backend = DirectoryBackend(tmp_path)
+        backend.write(H1, rec)
+        written = backend.path_for(H1).read_bytes()
+        assert written == json.dumps(rec, sort_keys=True).encode("utf-8")
+        assert backend.read(H1) == rec
 
     def test_protocol_conformance(self, tmp_path):
         assert isinstance(DirectoryBackend(tmp_path / "d"), CacheBackend)
