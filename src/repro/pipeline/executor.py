@@ -12,13 +12,20 @@ materialize thousands of pending futures up front and progress callbacks see
 a steady completion stream instead of one burst at the end.
 
 The process pool uses the ``fork`` start method where available (the kernel
-closes over nothing, but fork skips re-importing numpy per worker); thread
-pools suit kernels dominated by GIL-releasing numpy ops; serial is the
-reference implementation the parallel paths are asserted bit-identical to.
+closes over nothing, but fork skips re-importing numpy per worker). Each
+process worker caps its OpenBLAS pool at its share of the CPUs
+(:func:`_cap_blas_threads`); otherwise every worker would keep the pool numpy
+sized to the whole machine, and ``n`` workers would run ``n`` times as many
+BLAS threads as there are CPUs. A variable such as ``OPENBLAS_NUM_THREADS``
+set after fork cannot do this: the library read it once, when it loaded in
+the parent. Thread pools suit kernels dominated by GIL-releasing numpy ops;
+serial is the reference implementation the parallel paths are asserted
+bit-identical to.
 """
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import time
@@ -131,6 +138,48 @@ def default_workers() -> int:
         return max(1, os.cpu_count() or 1)
 
 
+# OpenBLAS's (get, set) pool-size symbols: the scipy-openblas build numpy's
+# wheels ship (64-bit ints, then 32), then a system OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _cap_blas_threads(workers: int) -> None:
+    """Process-pool initializer: cap this worker's OpenBLAS pool at
+    ``max(1, min(current pool, usable CPUs // workers))``.
+
+    The library is found in ``/proc/self/maps`` and driven through its own
+    setter, the only thing that changes a pool already loaded (a forked child
+    inherits the parent's library, environment read and all). The cap only
+    lowers the pool, so one the user already limited stays as it is. Never
+    raises, as a failing initializer breaks the whole pool: without
+    ``/proc``, OpenBLAS or its symbols it does nothing.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return
+    for lib in libs:
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            set_ = getattr(lib, set_name, None)
+            if get is None or set_ is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            current = get()
+            cap = max(1, min(current, default_workers() // workers))
+            if cap < current:
+                set_(cap)
+            break
+
+
 @dataclass
 class SerialExecutor:
     """In-process reference executor; parallel results must match it."""
@@ -200,7 +249,9 @@ class ProcessExecutor(_PoolExecutor):
             ctx = multiprocessing.get_context("fork")
         except ValueError:
             ctx = multiprocessing.get_context()
-        return ProcessPoolExecutor(max_workers=n, mp_context=ctx)
+        return ProcessPoolExecutor(
+            max_workers=n, mp_context=ctx, initializer=_cap_blas_threads, initargs=(n,)
+        )
 
 
 @dataclass
@@ -241,7 +292,9 @@ EXECUTORS: Dict[str, Callable[..., Any]] = {
 def make_executor(name: str = "auto", workers: Optional[int] = None):
     """Build an executor by name; ``"auto"`` picks a process pool when more
     than one CPU is available and serial otherwise (pool overhead would only
-    slow a single-CPU box down)."""
+    slow a single-CPU box down). That choice rests on the process workers
+    splitting the CPUs between them: each caps its BLAS pool at its share
+    (:func:`_cap_blas_threads`) instead of taking a machine-sized one."""
     if name == "auto":
         name = "process" if (workers or default_workers()) > 1 else "serial"
     try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import repro
 from repro.pipeline import (
     ExperimentSpec,
     Job,
+    ProcessExecutor,
     ResultCache,
     SerialExecutor,
     SweepSpec,
@@ -181,6 +183,58 @@ def test_executor_captures_failures_without_dying(name):
     assert failed[0].error["type"] == "RuntimeError"
     assert "three shall not pass" in failed[0].error["message"]
     assert all(o.metrics == {"ok": True} for o in outcomes if o.ok)
+
+
+def _openblas_num_threads(verb):
+    """OpenBLAS's ``{verb}_num_threads`` in the library this process loaded,
+    or ``None`` without ``/proc``, OpenBLAS or the symbol."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                fn = getattr(lib, f"{prefix}{verb}_num_threads{suffix}", None)
+                if fn is not None:
+                    fn.argtypes = [] if verb == "get" else [ctypes.c_int]
+                    fn.restype = ctypes.c_int if verb == "get" else None
+                    return fn
+    return None
+
+
+def _blas_threads_kernel(job):
+    return {"blas_threads": _openblas_num_threads("get")()}
+
+
+def _worker_blas_threads(workers):
+    outcomes = list(ProcessExecutor(workers=workers).run(_blas_threads_kernel, TOY_JOBS))
+    assert len(outcomes) == len(TOY_JOBS) and all(o.ok for o in outcomes)
+    return {o.metrics["blas_threads"] for o in outcomes}
+
+
+@pytest.mark.skipif(
+    _openblas_num_threads("get") is None, reason="no OpenBLAS get-symbol in this process"
+)
+def test_process_pool_caps_worker_blas_threads():
+    """Process workers split the CPUs: each caps the machine-sized BLAS pool
+    it inherits at its share, never raises a pool already limited, and leaves
+    the parent's pool as it was."""
+    get, set_ = _openblas_num_threads("get"), _openblas_num_threads("set")
+    parent = get()
+    share = max(1, min(parent, len(os.sched_getaffinity(0)) // 2))
+    assert _worker_blas_threads(2) == {share}
+    assert get() == parent
+    assert _worker_blas_threads(1) == {parent}
+    assert get() == parent
+    set_(1)
+    try:
+        assert _worker_blas_threads(1) == {1}
+    finally:
+        set_(parent)
+    assert get() == parent
 
 
 def test_make_executor_rejects_unknown_name():
