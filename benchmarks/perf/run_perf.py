@@ -12,8 +12,10 @@ named span, not just a wall-clock delta:
   quantize per substrate, with the engine span broken down into calibrate /
   layer / kernel time; ``engine.lm.gptq`` runs GPTQ W4 on the same LM,
   where the ``layer`` self time is GPTQ's column walk;
-* ``sweep.cold`` / ``sweep.warm`` — a small codesign sweep against a fresh
-  cache, then the identical sweep again (pure cache lookups);
+* ``sweep`` — a small codesign sweep against a fresh cache, then the
+  identical sweep again (pure cache lookups), on the ``serial``, ``thread``
+  ×2 and ``process`` ×2 executors, each pair in a fresh interpreter: wall,
+  job-compute and CPU seconds (this process and its reaped children);
 * ``simulate`` — accelerator-simulation throughput (``kernel:simulate``
   calls per second), cold (the ReCoN contention memo cleared before each
   call) and warm;
@@ -34,11 +36,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import platform
+import resource
 import statistics
 import sys
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Dict
 
@@ -135,7 +140,19 @@ def bench_engine(
     }
 
 
-def bench_sweep() -> Dict[str, Any]:
+#: The executors ``bench_sweep`` compares: (name, workers).
+SWEEP_EXECUTORS = (("serial", None), ("thread", 2), ("process", 2))
+
+
+def _cpu_seconds() -> float:
+    """User + system CPU seconds of this process and its reaped children."""
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    kids = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return own.ru_utime + own.ru_stime + kids.ru_utime + kids.ru_stime
+
+
+def _sweep_pair(executor: str, workers) -> Dict[str, Any]:
+    """One cold then one warm codesign sweep on ``executor``."""
     from repro.pipeline.runner import run_sweep
     from repro.pipeline.spec import SweepSpec
 
@@ -146,23 +163,40 @@ def bench_sweep() -> Dict[str, Any]:
         archs=("microscopiq-v2",),
         kind="codesign",
     )
-
-    def telemetry(result) -> Dict[str, Any]:
-        t = result.telemetry
-        return {
-            "jobs": t["total"],
-            "cache_hits": t["cache_hits"],
-            "wall_s": t["elapsed_s"],
-            "compute_s": t["compute_s"],
-            "lookup_s": t["lookup_s"],
-        }
-
+    pair: Dict[str, Any] = {}
     with tempfile.TemporaryDirectory(prefix="repro-perf-") as cache_dir:
-        cold = run_sweep(spec, cache_dir=cache_dir, progress=False, trace=True)
-        warm = run_sweep(spec, cache_dir=cache_dir, progress=False, trace=True)
-    assert not cold.failures() and not warm.failures(), "perf sweep failed"
+        for phase in ("cold", "warm"):
+            cpu0 = _cpu_seconds()
+            result = run_sweep(
+                spec, cache_dir=cache_dir, executor=executor, workers=workers,
+                progress=False, trace=True,
+            )
+            cpu_s = _cpu_seconds() - cpu0
+            assert not result.failures(), f"perf sweep failed on {executor}"
+            t = result.telemetry
+            pair[phase] = {
+                "jobs": t["total"],
+                "cache_hits": t["cache_hits"],
+                "wall_s": t["elapsed_s"],
+                "compute_s": t["compute_s"],
+                "lookup_s": t["lookup_s"],
+                "cpu_s": round(cpu_s, 3),
+            }
+    return pair
+
+
+def bench_sweep() -> Dict[str, Any]:
+    # A fresh interpreter per executor, so each cold sweep also starts from
+    # empty in-process caches (models, corpora, Hessians), as a new
+    # ``repro-sweep`` invocation does.
+    ctx = multiprocessing.get_context("spawn")
+    executors: Dict[str, Any] = {}
+    for name, workers in SWEEP_EXECUTORS:
+        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+            label = f"{name} x{workers}" if workers else name
+            executors[label] = pool.submit(_sweep_pair, name, workers).result()
     return {"spec": "opt-6.7b × microscopiq × W{2,4} ⇒ microscopiq-v2 codesign",
-            "cold": telemetry(cold), "warm": telemetry(warm)}
+            "executors": executors}
 
 
 def bench_simulate(repeats: int) -> Dict[str, Any]:
@@ -259,13 +293,14 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
     for name, bench in report["benches"].items():
-        key = next(
-            (k for k in ("median_s", "total_s", "sim_total_s") if k in bench), None
-        )
-        detail = f"{bench[key]:.4f}s ({key})" if key else (
-            f"cold {bench['cold']['wall_s']:.2f}s / warm {bench['warm']['wall_s']:.2f}s"
-        )
-        print(f"  {name:20s} {detail}")
+        if name == "sweep":
+            for label, pair in bench["executors"].items():
+                cold = pair["cold"]
+                print(f"  {'sweep ' + label:20s} cold {cold['wall_s']:.2f}s wall, "
+                      f"{cold['cpu_s']:.2f}s cpu / warm {pair['warm']['wall_s']:.3f}s")
+            continue
+        key = next(k for k in ("median_s", "total_s", "sim_total_s") if k in bench)
+        print(f"  {name:20s} {bench[key]:.4f}s ({key})")
     return 0
 
 

@@ -38,7 +38,11 @@ __all__ = [
 #: Current schema. 2 added multi-host attribution: a top-level ``hostname``
 #: and a per-computed-job ``worker`` (``host:pid-N`` for distributed runs,
 #: ``pid-N`` for local pools). Both are additive and optional, so schema-1
-#: records written by older versions still validate.
+#: records written by older versions still validate. So is the later
+#: ``blas`` object, ``{"library": "OpenBLAS 0.3.31", "job_threads": 1}``: the
+#: BLAS loaded by the process that wrote the record and the pool size its
+#: jobs run at (``None``: no setter found, so the caller's pool). A
+#: ``remote`` sweep's record describes the submitter, not the fleet.
 LEDGER_SCHEMA = 2
 
 _KNOWN_SCHEMAS = (None, 1, LEDGER_SCHEMA)
@@ -101,6 +105,14 @@ def validate_record(record: Any) -> List[str]:
     if "hostname" in record and not isinstance(record["hostname"], str):
         errors.append(
             f"field 'hostname' is {type(record['hostname']).__name__}, expected str"
+        )
+    blas = record.get("blas", {})
+    if not isinstance(blas, dict) or not all(
+        isinstance(blas.get(key), (kind, type(None))) and not isinstance(blas.get(key), bool)
+        for key, kind in (("library", str), ("job_threads", int))
+    ):
+        errors.append(
+            f"field 'blas' is {blas!r}, expected {{library: str|null, job_threads: int|null}}"
         )
     for i, job in enumerate(record.get("jobs") or []):
         if not isinstance(job, dict):
@@ -317,6 +329,13 @@ def render_run(record: Dict[str, Any], slowest: int = 8) -> List[str]:
         f"{record.get('failures', 0)} failed · wall {record.get('wall_s', 0.0):.2f}s · "
         f"compute {record.get('compute_s', 0.0):.2f}s",
     ]
+    blas = record.get("blas")
+    if isinstance(blas, dict):
+        threads = blas.get("job_threads")
+        lines.append(
+            f"  blas: {blas.get('library') or 'unknown'} · "
+            + (f"job threads {threads}" if threads else "jobs at the caller's pool")
+        )
     reuse = []
     for key, label in (
         ("quant_stage_hits", "quant-stage"),

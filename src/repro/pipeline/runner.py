@@ -11,8 +11,9 @@ drivers pivot on.
 The job kernel (:func:`execute_job`) is a module-level function of the job
 alone — no closures, no shared state — so it pickles cleanly into worker
 processes and so a job's result is a pure function of its content hash.
-Its RNG is spawned from that hash (``job.spawn_seed``), which is what makes
-serial, thread, and process sweeps bit-identical.
+Its RNG is spawned from that hash (``job.spawn_seed``) and it runs at one
+BLAS thread, which is what makes serial, thread, and process sweeps
+bit-identical.
 
 **Stages.** Inside :func:`run_sweep` every job is an ordered list of
 content-addressed stages: an accuracy job is ``[quant]``, a hardware job
@@ -44,7 +45,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..obs.trace import TRACE_ENV, current_tracer, enable_tracing, set_tracer, trace
-from .executor import JobOutcome
+from .executor import ONE_BLAS_THREAD, JobOutcome
 from .spec import HASH_VERSION, ExperimentSpec, Job, SweepSpec, _canonical
 
 __all__ = [
@@ -230,18 +231,20 @@ def execute_job(job: Job) -> Dict[str, Any]:
 
     Everything is rebuilt from the spec inside the call (model, corpora,
     quantizer state) and all randomness flows from the job-hash-spawned seed
-    (the hardware simulator is deterministic and draws none), so the result
-    is identical no matter which executor or worker runs it.
+    (the hardware simulator is deterministic and draws none). It runs at one
+    BLAS thread, as every executor runs it, so the result is identical no
+    matter which executor or worker runs it, or whether one does.
     """
     spec = job.spec
     kind = spec.job_kind
-    if kind == "codesign":
-        return run_codesign_job(job)
-    if kind == "hw":
-        from ..hw import run_hw_job
+    with ONE_BLAS_THREAD:
+        if kind == "codesign":
+            return run_codesign_job(job)
+        if kind == "hw":
+            from ..hw import run_hw_job
 
-        return run_hw_job(spec.substrate, spec.family, spec.arch, dict(spec.hw_kwargs))
-    return _quant_stage_metrics(job)
+            return run_hw_job(spec.substrate, spec.family, spec.arch, dict(spec.hw_kwargs))
+        return _quant_stage_metrics(job)
 
 
 def resolve_metric(outcome: JobOutcome) -> str:

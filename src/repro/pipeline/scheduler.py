@@ -52,7 +52,7 @@ from ..obs.ledger import RunLedger
 from ..obs.metrics import METRICS, merge_deltas
 from ..obs.trace import NULL_SPAN, current_tracer
 from .cache import ResultCache
-from .executor import JobOutcome, _call, make_executor
+from .executor import JobOutcome, _call, blas_info, make_executor
 from .progress import ProgressTracker, default_stream
 from .runner import (
     SweepResult,
@@ -738,6 +738,7 @@ class SweepScheduler:
                 ledger_jobs.append(entry)
             record = {
                 "hostname": socket.gethostname(),
+                "blas": blas_info(),
                 "started_at": started_at,
                 "finished_at": time.time(),
                 "wall_s": telemetry["elapsed_s"],

@@ -9,6 +9,7 @@ status and the server's decoded error payload.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import time
@@ -65,7 +66,8 @@ class ServeClient:
 
         Connection failures retry up to ``retries`` extra times with
         exponential backoff starting at ``backoff`` seconds. GETs retry on
-        any transport error; non-GETs only on refused connections (the one
+        any transport error, including a connection reset or closed while
+        the response is read; non-GETs only on refused connections (the one
         failure mode that guarantees the server never saw the request, so
         re-sending a mutation stays safe). ``retries=0`` disables.
         """
@@ -76,12 +78,14 @@ class ServeClient:
         self.backoff = max(0.0, float(backoff))
 
     @staticmethod
-    def _retryable(method: str, exc: urllib.error.URLError) -> bool:
+    def _retryable(method: str, exc: Exception) -> bool:
         if method == "GET":
             return True
-        reason = getattr(exc, "reason", None)
-        return isinstance(exc, ConnectionError) or isinstance(
-            reason, ConnectionError
+        # urllib wraps only what fails while the request goes out; a bare
+        # error was raised reading the response, after the server may have
+        # acted on the request.
+        return isinstance(exc, urllib.error.URLError) and isinstance(
+            exc.reason, ConnectionError
         )
 
     # ------------------------------------------------------------- plumbing
@@ -117,14 +121,17 @@ class ServeClient:
                 raise ServeError(
                     exc.code, str(decoded.get("error", exc.reason)), decoded
                 ) from None
-            except urllib.error.URLError as exc:
+            except (
+                urllib.error.URLError, ConnectionError, http.client.HTTPException
+            ) as exc:
                 if attempts <= self.retries and self._retryable(method, exc):
                     METRICS.incr("serve.client.retries")
                     time.sleep(self.backoff * (2 ** (attempts - 1)))
                     continue
+                reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
                 suffix = f" after {attempts} attempts" if attempts > 1 else ""
                 raise ServeError(
-                    0, f"cannot reach {self.base_url}: {exc.reason}{suffix}"
+                    0, f"cannot reach {self.base_url}: {reason}{suffix}"
                 ) from exc
         if not body:
             return {}

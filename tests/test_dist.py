@@ -17,9 +17,12 @@ The load-bearing properties, mirroring the serve-stack tests one level up:
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
 import os
+import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -356,6 +359,53 @@ class TestWorker:
             assert done["metrics"] == execute_job(job)
         finally:
             srv.shutdown()
+
+    def test_worker_survives_connection_reset(self):
+        """A coordinator that resets the connection while the worker reads
+        its reply is unreachable for a moment, not a crash: the worker
+        waits, re-pulls, finds the queue empty and drains out."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.05)
+        port = listener.getsockname()[1]
+        requests, stop = [], threading.Event()
+
+        def serve() -> None:
+            while not stop.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except TimeoutError:
+                    continue
+                with conn, conn.makefile("rb") as rfile:
+                    conn.settimeout(5.0)
+                    requests.append(rfile.readline().rstrip(b"\r\n"))
+                    headers = http.client.parse_headers(rfile)
+                    rfile.read(int(headers.get("Content-Length", 0)))
+                    if len(requests) == 1:  # close with RST, not FIN
+                        conn.setsockopt(
+                            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                        )
+                        continue
+                    body = b'{"key": null}'  # an empty queue
+                    conn.sendall(
+                        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                        + f"Content-Length: {len(body)}\r\n".encode()
+                        + b"Connection: close\r\n\r\n" + body
+                    )
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            worker = DistWorker(
+                CoordinatorClient(f"http://127.0.0.1:{port}"), poll=0.05
+            )
+            assert worker.run_forever(max_jobs=1, max_idle_s=1.0) == 0
+        finally:
+            stop.set()
+            thread.join(timeout=10.0)
+            listener.close()
+        assert not thread.is_alive()
+        assert len(requests) >= 2
+        assert set(requests) == {b"POST /api/tasks/pull HTTP/1.1"}
 
 
 # ----------------------------------------------------------- remote executor

@@ -295,6 +295,35 @@ class TestRunLedger:
         )
         assert traced_ok == []
 
+    def test_validate_blas_object(self):
+        for blas in (
+            {"library": "OpenBLAS 0.3.31", "job_threads": 1},
+            {"library": None, "job_threads": None},
+        ):
+            assert validate_record(_record(blas=blas)) == [], blas
+        for blas in (
+            "OpenBLAS",
+            {"library": 3, "job_threads": 1},
+            {"library": "OpenBLAS 0.3.31", "job_threads": "1"},
+            {"library": "OpenBLAS 0.3.31", "job_threads": True},
+        ):
+            errors = validate_record(_record(blas=blas))
+            assert errors and all("blas" in e for e in errors), blas
+
+    def test_sweep_record_names_its_blas(self, tmp_path, capsys):
+        from repro.pipeline.cli import main
+        from repro.pipeline.executor import blas_info
+
+        spec = SweepSpec(families=("opt-6.7b",), methods=("fp16",), **CHEAP)
+        run_sweep(spec, cache_dir=str(tmp_path), executor="serial", progress=False)
+        record = RunLedger(tmp_path / "runs").get("last")
+        assert validate_record(record) == []
+        assert record["blas"] == blas_info()
+        assert set(record["blas"]) == {"library", "job_threads"}
+        assert record["blas"]["job_threads"] in (1, None)
+        assert main(["report", "--cache-dir", str(tmp_path)]) == 0
+        assert "  blas: " in capsys.readouterr().out
+
 
 class TestRendering:
     def test_render_span_tree(self):
@@ -339,6 +368,17 @@ class TestRendering:
         assert "engine: models=1" in text
         assert "slow-one" in text
         assert "FAILED broken: ValueError" in text
+
+    def test_render_run_blas(self):
+        text = "\n".join(render_run(_record(
+            blas={"library": "OpenBLAS 0.3.31", "job_threads": 1}
+        )))
+        assert "blas: OpenBLAS 0.3.31 · job threads 1" in text
+        text = "\n".join(render_run(_record(
+            blas={"library": None, "job_threads": None}
+        )))
+        assert "blas: unknown · jobs at the caller's pool" in text
+        assert "blas:" not in "\n".join(render_run(_record()))
 
 
 # ------------------------------------------------------------------ frontends

@@ -2,23 +2,24 @@
 
 from __future__ import annotations
 
-import ctypes
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from blas_oracle import openblas_num_threads
 
 import repro
 from repro.pipeline import (
     ExperimentSpec,
     Job,
-    ProcessExecutor,
     ResultCache,
     SerialExecutor,
     SweepSpec,
+    ThreadExecutor,
     make_executor,
 )
 
@@ -185,56 +186,70 @@ def test_executor_captures_failures_without_dying(name):
     assert all(o.metrics == {"ok": True} for o in outcomes if o.ok)
 
 
-def _openblas_num_threads(verb):
-    """OpenBLAS's ``{verb}_num_threads`` in the library this process loaded,
-    or ``None`` without ``/proc``, OpenBLAS or the symbol."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for prefix in ("scipy_openblas_", "openblas_"):
-            for suffix in ("64_", ""):
-                fn = getattr(lib, f"{prefix}{verb}_num_threads{suffix}", None)
-                if fn is not None:
-                    fn.argtypes = [] if verb == "get" else [ctypes.c_int]
-                    fn.restype = ctypes.c_int if verb == "get" else None
-                    return fn
-    return None
+_openblas_get = openblas_num_threads("get")
+needs_openblas = pytest.mark.skipif(
+    _openblas_get is None, reason="no OpenBLAS get-symbol in this process"
+)
 
 
 def _blas_threads_kernel(job):
-    return {"blas_threads": _openblas_num_threads("get")()}
+    return {"blas_threads": _openblas_get()}
 
 
-def _worker_blas_threads(workers):
-    outcomes = list(ProcessExecutor(workers=workers).run(_blas_threads_kernel, TOY_JOBS))
+def _job_blas_threads(name):
+    outcomes = list(make_executor(name, workers=2).run(_blas_threads_kernel, TOY_JOBS))
     assert len(outcomes) == len(TOY_JOBS) and all(o.ok for o in outcomes)
     return {o.metrics["blas_threads"] for o in outcomes}
 
 
-@pytest.mark.skipif(
-    _openblas_num_threads("get") is None, reason="no OpenBLAS get-symbol in this process"
-)
-def test_process_pool_caps_worker_blas_threads():
-    """Process workers split the CPUs: each caps the machine-sized BLAS pool
-    it inherits at its share, never raises a pool already limited, and leaves
-    the parent's pool as it was."""
-    get, set_ = _openblas_num_threads("get"), _openblas_num_threads("set")
-    parent = get()
-    share = max(1, min(parent, len(os.sched_getaffinity(0)) // 2))
-    assert _worker_blas_threads(2) == {share}
-    assert get() == parent
-    assert _worker_blas_threads(1) == {parent}
-    assert get() == parent
-    set_(1)
+@needs_openblas
+def test_every_executor_runs_jobs_at_one_blas_thread():
+    """Serial, thread and process jobs all run with OpenBLAS at one thread,
+    whatever the caller's pool, and the caller's pool is as it was after
+    each run: a machine-sized one comes back, one already at 1 stays 1."""
+    get, set_ = _openblas_get, openblas_num_threads("set")
+    original = get()
     try:
-        assert _worker_blas_threads(1) == {1}
+        for size in (2, 1):
+            set_(size)
+            caller = get()
+            for name in ("serial", "thread", "process"):
+                assert _job_blas_threads(name) == {1}, (name, caller)
+                assert get() == caller, (name, caller)
     finally:
-        set_(parent)
-    assert get() == parent
+        set_(original)
+    assert get() == original
+
+
+def _blas_threads_at_start_and_end(job):
+    start = _openblas_get()
+    time.sleep(0.0005)  # let the other workers' jobs enter and leave meanwhile
+    return {"start": start, "end": _openblas_get()}
+
+
+@needs_openblas
+def test_one_blas_thread_scope_survives_oversubscribed_thread_pool():
+    """Many more threads than CPUs, switching often: a per-call save/restore
+    would let one job's exit restore the caller's pool under a running job,
+    or leave the caller with a job's pool of 1."""
+    get, set_ = _openblas_get, openblas_num_threads("set")
+    original, interval = get(), sys.getswitchinterval()
+    pool = ThreadExecutor(workers=4 * (os.cpu_count() or 1), chunk_size=4)
+    try:
+        set_(2)
+        caller = get()
+        sys.setswitchinterval(1e-5)
+        t0 = time.perf_counter()
+        outcomes = list(pool.run(_blas_threads_at_start_and_end, TOY_JOBS * 40))
+        elapsed = time.perf_counter() - t0
+        after = get()
+    finally:
+        sys.setswitchinterval(interval)
+        set_(original)
+    assert elapsed < 30.0
+    assert len(outcomes) == len(TOY_JOBS) * 40 and all(o.ok for o in outcomes)
+    assert {(o.metrics["start"], o.metrics["end"]) for o in outcomes} == {(1, 1)}
+    assert after == caller
 
 
 def test_make_executor_rejects_unknown_name():

@@ -1,9 +1,10 @@
 """End-to-end sweep behavior: caching, determinism, parallel speedup.
 
-The last test is the subsystem's acceptance gate: a ≥24-job sweep through
-the process pool must beat the serial executor when the machine has the
-cores for it, and an immediate identical re-run must be answered entirely
-from the content-addressed cache with equal results.
+The acceptance gate: a ≥24-job sweep through the process pool must beat the
+serial executor when the machine has the cores for it, and an immediate
+identical re-run must be answered entirely from the content-addressed cache
+with equal results. The last test pins bit-identity of Hessian methods
+across the caller's BLAS pool size and the executors.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import os
 import time
 
 import pytest
+from blas_oracle import openblas_num_threads
 
+from repro.methods import default_hessian_store
 from repro.pipeline import ExperimentSpec, SweepSpec, run_sweep
 
 CHEAP = dict(eval_sequences=8, eval_seq_len=24)
@@ -158,3 +161,34 @@ def test_acceptance_speedup_and_cache_hits(tmp_path):
     assert rerun.hit_rate == 1.0
     assert rerun.telemetry["computed"] == 0
     assert rerun.metrics_by_hash() == parallel.metrics_by_hash()
+
+
+@pytest.mark.skipif(
+    openblas_num_threads("set") is None, reason="no OpenBLAS set-symbol in this process"
+)
+def test_hessian_methods_bit_identical_across_blas_pools_and_executors():
+    """LAPACK's rounding depends on its thread count (``inv`` and
+    ``cholesky`` differ at 1 and 2 threads from n = 128 up; llama2-13b is
+    144 wide), so gptq/atom metrics stay equal only if every job runs at one
+    count, whatever the caller's pool and whichever executor runs it."""
+    spec = SweepSpec(
+        families=("llama2-13b",), methods=("gptq", "atom"), w_bits=(4,), **CHEAP
+    )
+
+    def sweep(executor, workers=None):
+        default_hessian_store().clear()  # factorize afresh in every sweep
+        result = run_sweep(spec, executor=executor, workers=workers)
+        assert result.ok, executor
+        return result.metrics_by_hash()
+
+    get, set_ = openblas_num_threads("get"), openblas_num_threads("set")
+    original, by_pool = get(), {}
+    try:
+        for size in (1, 2):
+            set_(size)
+            by_pool[size] = sweep("serial")
+    finally:
+        set_(original)
+    assert by_pool[1] == by_pool[2]
+    for name in ("thread", "process"):
+        assert sweep(name, workers=2) == by_pool[1], name
