@@ -8,13 +8,12 @@ from .gptq import gptq_core, quantize_gptq
 from .microscopiq_adapter import quantize_microscopiq_baseline, quantize_omni_microscopiq
 from .olive import quantize_olive
 from .omniquant import quantize_omniquant
-from .registry import QUANTIZERS, get_quantizer
+from .registry import get_quantizer
 from .rtn import quantize_rtn
 from .sdq import quantize_sdq
 from .smoothquant import quantize_smoothquant
 
 __all__ = [
-    "QUANTIZERS",
     "BaselineResult",
     "get_quantizer",
     "gptq_core",

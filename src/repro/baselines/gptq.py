@@ -13,7 +13,6 @@ import numpy as np
 from ..formats.scalar import int_max
 from ..methods.resources import HessianBundle
 from ..quant.kernel import BlockQuantKernel
-from ..quant.vector import resolve_kernel_path
 from .base import BaselineResult, group_float_scale
 
 __all__ = ["quantize_gptq", "gptq_core"]
@@ -25,40 +24,36 @@ def gptq_core(
     bits_per_col: np.ndarray,
     group_size: int = 128,
     clip_ratio: float = 1.0,
-    kernel_path: str | None = None,
 ) -> np.ndarray:
     """Column-sequential GPTQ supporting a per-column bit-width.
 
     ``bits_per_col [d_in]`` lets Atom-style mixed-precision reuse the same
     engine (outlier channels at 8 bits, the rest at 4). Group scales (float,
     per ``group_size`` columns) are recomputed from the *updated* weights at
-    each group boundary; error propagation is the shared OBS stage on
-    :class:`BlockQuantKernel` (single-column blocks = plain GPTQ).
+    each group boundary; each column's rounding error then propagates as a
+    single-column OBS update (plain GPTQ).
 
     ``hessian`` is a raw damped ``H`` or a
     :class:`~repro.methods.resources.HessianBundle`; passing the bundle lets
     a multi-setting sweep reuse one Cholesky factorization instead of
     re-inverting ``H`` per setting.
 
-    ``kernel_path`` (default: :func:`~repro.quant.vector.resolve_kernel_path`)
-    selects the implementation. GPTQ recomputes *float* group scales from the
-    updated weights at every boundary, so any lazy-batch (GEMM) deferral of
-    the trailing updates reassociates their summation and perturbs the next
-    group's scale in the last ulp — unlike MicroScopiQ's fixed power-of-two
-    scales, that is observable. Both paths therefore keep the exact
-    per-column update order, on a transposed working copy ``wt``
-    (``[d_in, d_out]``, C-contiguous) in which weight column ``p`` is the
-    contiguous row ``wt[p]``. The ``"vector"`` path writes each rank-1
-    update ``u[p, p+1:, None] * err`` into a slice of one preallocated
-    buffer and subtracts it in place, allocating nothing per column; the
-    ``"reference"`` path hands :meth:`BlockQuantKernel.propagate_block_error`
-    transposed views of the same storage. Each element gets the same IEEE
-    product and subtraction, in the same order, as
-    ``w[:, p+1:] -= np.outer(err, u[p, p+1:])`` on the untransposed weights
-    (multiplication commutes exactly), and a group scale is a ``max`` over
-    ``wt[lo:hi].T``, which no order changes. Both paths are bit-identical —
-    asserted against the golden snapshots. Beyond the walk, the vector
-    path's wins come from the engine's row-stacked shape batching, which is
+    GPTQ recomputes *float* group scales from the updated weights at every
+    boundary, so any lazy-batch (GEMM) deferral of the trailing updates
+    reassociates their summation and perturbs the next group's scale in the
+    last ulp — unlike MicroScopiQ's fixed power-of-two scales, that is
+    observable. The walk therefore keeps the exact per-column update order,
+    on a transposed working copy ``wt`` (``[d_in, d_out]``, C-contiguous) in
+    which weight column ``p`` is the contiguous row ``wt[p]``. Each rank-1
+    update ``u[p, p+1:, None] * err`` is written into a slice of one
+    preallocated buffer and subtracted in place, allocating nothing per
+    column. Each element gets the same IEEE product and subtraction, in the
+    same order, as ``w[:, p+1:] -= np.outer(err, u[p, p+1:])`` on the
+    untransposed weights (multiplication commutes exactly), and a group
+    scale is a ``max`` over ``wt[lo:hi].T``, which no order changes; the
+    untransposed walk is kept as the tests' oracle
+    (``tests/kernel_oracle.py``) and asserted bit-identical. Beyond the walk,
+    the speed comes from the engine's row-stacked shape batching, which is
     exactly row-independent. The result is a new C-contiguous
     ``[d_out, d_in]`` array, the layout every later forward's ``x @ w.T``
     reads.
@@ -68,8 +63,7 @@ def gptq_core(
     u = HessianBundle.wrap(hessian).u_factor
     qt = np.zeros_like(wt)
     kernel = BlockQuantKernel(group_size, detect_outliers=False)
-    vector = resolve_kernel_path(kernel_path) == "vector"
-    update = np.empty_like(wt) if vector else None
+    update = np.empty_like(wt)
     for lo, hi in kernel.blocks(d_in):
         group_bits = int(bits_per_col[lo])
         group_maxq = int_max(group_bits)
@@ -81,17 +75,12 @@ def gptq_core(
             # scale but uses its own wider clip range.
             col_scale = scale * group_maxq / maxq if bits != group_bits else scale
             qt[p] = np.clip(np.rint(wt[p] / col_scale), -maxq, maxq) * col_scale
-            if vector:
-                # Inlined single-column OBS update: identical float ops to
-                # propagate_block_error(w, q, u, p, p+1), minus its
-                # working-copy/slice machinery.
-                err = (wt[p] - qt[p]) / u[p, p]
-                if p + 1 < d_in:
-                    rows = update[p + 1 :]
-                    np.multiply(u[p, p + 1 :, None], err, out=rows)
-                    wt[p + 1 :] -= rows
-            else:
-                kernel.propagate_block_error(wt.T, qt.T, u, p, p + 1)
+            # Single-column OBS update, in place on the trailing rows.
+            err = (wt[p] - qt[p]) / u[p, p]
+            if p + 1 < d_in:
+                rows = update[p + 1 :]
+                np.multiply(u[p, p + 1 :, None], err, out=rows)
+                wt[p + 1 :] -= rows
     return qt.T.copy()
 
 

@@ -18,30 +18,14 @@ import numpy as np
 
 from ..formats.scalar import int_max
 from ..quant.kernel import BlockQuantKernel
-from ..quant.vector import resolve_kernel_path
 from .base import BaselineResult, group_float_scale
 
 __all__ = ["quantize_olive"]
 
 
-def _abfloat_encode(values: np.ndarray, bits: int) -> np.ndarray:
-    """Round magnitudes to signed powers of two with an adaptive bias."""
-    e_levels = 2 ** (bits - 1)  # exponent values per sign
-    mag = np.abs(values)
-    vmax = float(mag.max())
-    if vmax == 0.0:
-        return np.zeros_like(values)
-    bias = int(np.floor(np.log2(vmax))) - (e_levels - 1)
-    with np.errstate(divide="ignore"):
-        e = np.rint(np.log2(np.where(mag == 0.0, 1e-30, mag))) - bias
-    e = np.clip(e, 0, e_levels - 1)
-    return np.sign(values) * 2.0 ** (e + bias)
-
-
 def _abfloat_encode_each(values: np.ndarray, bits: int) -> np.ndarray:
-    """Elementwise abfloat: each value is its own group (adaptive bias from
-    itself) — exactly ``_abfloat_encode(values[i:i+1], bits)`` per element,
-    which is how OliVe encodes outliers in place."""
+    """Elementwise abfloat: each value is its own group, with its adaptive
+    bias from itself — how OliVe encodes outliers in place."""
     e_levels = 2 ** (bits - 1)
     mag = np.abs(values)
     out = np.zeros_like(values)
@@ -63,13 +47,12 @@ def quantize_olive(
 ) -> BaselineResult:
     """OliVe outlier-victim-pair quantization (ignores calibration data)."""
     w = np.asarray(weights, dtype=np.float64)
-    d_out, d_in = w.shape
+    d_in = w.shape[1]
     maxq = int_max(bits)
     dq = np.empty_like(w)
     n_victim_outliers = 0
 
     kernel = BlockQuantKernel(group_size, sigma_threshold)
-    vector = resolve_kernel_path() == "vector"
     for lo, hi in kernel.blocks(d_in):
         block = w[:, lo:hi]
         omask = kernel.separate(block)
@@ -77,38 +60,23 @@ def quantize_olive(
         q = np.clip(np.rint(block / scale), -maxq, maxq) * scale
         width = block.shape[1]
 
-        if vector:
-            # Column-sequential scan over all rows at once: processing
-            # columns left-to-right with a per-row victim mask replays the
-            # reference per-row walk exactly (a column's victim flag can only
-            # be set by the column before it).
-            victimized = np.zeros_like(omask)
-            for c in np.nonzero(omask.any(axis=0))[0]:
-                sel = omask[:, c] & ~victimized[:, c]
-                if not sel.any():
-                    continue
-                q[sel, c] = _abfloat_encode_each(block[sel, c], bits)
-                victim = c + 1 if c + 1 < width else c - 1
-                if victim >= 0:
-                    n_victim_outliers += int(np.count_nonzero(omask[sel, victim]))
-                    q[sel, victim] = 0.0
-                    victimized[sel, victim] = True
-        else:
-            for r in range(d_out):
-                cols = np.nonzero(omask[r])[0]
-                victims: set[int] = set()
-                for c in cols:
-                    if c in victims:
-                        continue  # this outlier was already destroyed as a victim
-                    q[r, c] = _abfloat_encode(block[r, c : c + 1], bits)[0]
-                    # The adjacent slot becomes the identifier: prune it — even
-                    # if it is itself an outlier (OliVe's locality assumption).
-                    victim = c + 1 if c + 1 < width else c - 1
-                    if victim >= 0:
-                        if omask[r, victim]:
-                            n_victim_outliers += 1
-                        q[r, victim] = 0.0
-                        victims.add(victim)
+        # Column-sequential scan over all rows at once: processing columns
+        # left-to-right with a per-row victim mask replays OliVe's per-row
+        # walk (kept in tests/kernel_oracle.py) exactly: a column's victim
+        # flag can only be set by the column before it. The adjacent slot becomes the identifier and is
+        # pruned — even if it is itself an outlier (OliVe's locality
+        # assumption); an outlier already destroyed as a victim is skipped.
+        victimized = np.zeros_like(omask)
+        for c in np.nonzero(omask.any(axis=0))[0]:
+            sel = omask[:, c] & ~victimized[:, c]
+            if not sel.any():
+                continue
+            q[sel, c] = _abfloat_encode_each(block[sel, c], bits)
+            victim = c + 1 if c + 1 < width else c - 1
+            if victim >= 0:
+                n_victim_outliers += int(np.count_nonzero(omask[sel, victim]))
+                q[sel, victim] = 0.0
+                victimized[sel, victim] = True
         dq[:, lo:hi] = q
 
     return BaselineResult(

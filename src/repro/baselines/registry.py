@@ -1,25 +1,21 @@
-"""Legacy name → quantizer-function registry (deprecated shim).
+"""Name → raw quantizer-function lookup (:func:`get_quantizer`).
 
-The flat ``QUANTIZERS`` dict of positional ``quantize_<name>(weights,
-calib_inputs=None, **kwargs)`` callables was superseded by the declarative
-:mod:`repro.methods` registry — :class:`~repro.methods.MethodSpec` carries
-the capability flags and validated parameter schema the engine, pipeline,
-and CLI now consult, and its class-based lifecycle
-(``prepare``/``quantize_layer``) replaces the bare-callable contract.
-
-``QUANTIZERS`` remains as a :class:`DeprecationWarning`-emitting shim over
-the same kernel functions so existing code keeps working; migrate to::
+The declarative :mod:`repro.methods` registry is the public one:
+:class:`~repro.methods.MethodSpec` carries the capability flags and
+validated parameter schema the engine, pipeline and CLI consult, and its
+class-based lifecycle (``prepare``/``quantize_layer``) wraps these
+functions::
 
     from repro.methods import get_method
     result = get_method("gptq").quantize(weights, calib, bits=4)
 
-:func:`get_quantizer` still returns the raw kernel function (it is the
-reference the engine's bit-identity tests walk), without a warning.
+:func:`get_quantizer` returns the bare ``quantize_<name>(weights,
+calib_inputs=None, **kwargs)`` kernel function, which the tests call
+directly.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict
 
 from .atom import quantize_atom
@@ -33,7 +29,7 @@ from .rtn import quantize_rtn
 from .sdq import quantize_sdq
 from .smoothquant import quantize_smoothquant
 
-__all__ = ["QUANTIZERS", "get_quantizer"]
+__all__ = ["get_quantizer"]
 
 _FUNCTIONS: Dict[str, Callable] = {
     "rtn": quantize_rtn,
@@ -48,29 +44,6 @@ _FUNCTIONS: Dict[str, Callable] = {
     "microscopiq": quantize_microscopiq_baseline,
     "omni-microscopiq": quantize_omni_microscopiq,
 }
-
-
-class _DeprecatedQuantizers(dict):
-    """``QUANTIZERS`` compatibility view that warns on value access."""
-
-    def _warn(self) -> None:
-        warnings.warn(
-            "repro.baselines.QUANTIZERS is deprecated; use the repro.methods "
-            "registry (get_method(name).quantize(...)) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __getitem__(self, key: str) -> Callable:
-        self._warn()
-        return dict.__getitem__(self, key)
-
-    def get(self, key, default=None):
-        self._warn()
-        return dict.get(self, key, default)
-
-
-QUANTIZERS: Dict[str, Callable] = _DeprecatedQuantizers(_FUNCTIONS)
 
 
 def get_quantizer(name: str) -> Callable:

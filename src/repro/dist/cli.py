@@ -72,7 +72,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     worker.add_argument("--max-jobs", type=int, default=None,
                         help="exit after this many tasks (default: run forever)")
     worker.add_argument("--max-idle-s", type=float, default=None,
-                        help="exit after this long with an empty queue")
+                        help="exit after this long with an empty queue or an "
+                             "unreachable coordinator")
     worker.add_argument("--quiet", action="store_true",
                         help="suppress per-task lines")
 

@@ -118,24 +118,30 @@ class DistWorker:
         """Pull until stopped; returns the number of tasks executed.
 
         ``max_jobs`` / ``max_idle_s`` bound the loop for tests and batch
-        fleets (a worker that has drained the queue for ``max_idle_s``
-        seconds exits instead of polling forever).
+        fleets (a worker that has drained the queue, or found the
+        coordinator unreachable, for ``max_idle_s`` seconds exits instead
+        of polling forever).
         """
         executed = 0
         idle_since = time.monotonic()
+
+        def drained() -> bool:
+            return max_idle_s is not None and time.monotonic() - idle_since >= max_idle_s
+
         while max_jobs is None or executed < max_jobs:
             try:
                 pulled = self.client.pull(self.worker_id)
             except ServeError as exc:
-                if exc.status == 0:  # coordinator unreachable: wait it out
-                    time.sleep(max(self.poll, 0.5))
-                    continue
-                raise
+                if exc.status != 0:
+                    raise
+                # Coordinator unreachable: wait it out, but no longer than
+                # an empty queue would be waited out.
+                if drained():
+                    break
+                time.sleep(max(self.poll, 0.5))
+                continue
             if pulled.get("key") is None:
-                if (
-                    max_idle_s is not None
-                    and time.monotonic() - idle_since >= max_idle_s
-                ):
+                if drained():
                     break
                 time.sleep(self.poll)
                 continue

@@ -186,7 +186,7 @@ class MethodSpec:
         row_batchable: the kernel is exactly row-independent in weight-only
             mode — quantizing ``vstack(W_a, W_b)`` against shared calibration
             inputs yields bit-identical rows to quantizing ``W_a`` and
-            ``W_b`` separately. The engine's vector path uses this to stack
+            ``W_b`` separately. The engine uses this to stack
             same-shape layers of a calibration group into one kernel
             invocation (see :func:`repro.quant.engine.quantize_model`).
             Methods with any cross-row coupling (AWQ's whole-matrix α

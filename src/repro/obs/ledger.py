@@ -350,9 +350,7 @@ def render_run(record: Dict[str, Any], slowest: int = 8) -> List[str]:
         ("hessian.store.", "hessian"),
         ("result_cache.", "result-cache"),
         ("engine.", "engine"),
-        # Kernel-path attribution: how many quantize_matrix calls ran on the
-        # vector fast path vs. the reference walk (REPRO_KERNEL / the
-        # engine's kernel_path knob).
+        # How many quantize_matrix calls the MicroScopiQ kernel served.
         ("quant.kernel.", "kernel"),
         # Fleet activity (remote executor) and blob-tier claim traffic.
         ("dist.", "dist"),
@@ -367,23 +365,16 @@ def render_run(record: Dict[str, Any], slowest: int = 8) -> List[str]:
             )
     spans = record.get("spans")
     if isinstance(spans, dict):
-        # Span-based kernel-path attribution: wall self-time actually spent
-        # inside quantize_matrix, split by path (complements the call
-        # counters above with where the time went).
-        by_path: Dict[str, float] = {}
-        calls: Dict[str, int] = {}
-        for node, _depth in walk_spans(spans):
-            if node.get("name") == "kernel:quantize_matrix":
-                path = str((node.get("attrs") or {}).get("path", "?"))
-                by_path[path] = by_path.get(path, 0.0) + span_self_seconds(node)
-                calls[path] = calls.get(path, 0) + 1
-        if by_path:
+        # Wall self-time actually spent inside quantize_matrix (complements
+        # the call counter above with where the time went).
+        kernels = [
+            span_self_seconds(node)
+            for node, _depth in walk_spans(spans)
+            if node.get("name") == "kernel:quantize_matrix"
+        ]
+        if kernels:
             lines.append(
-                "  kernel self-time: "
-                + ", ".join(
-                    f"{path}={secs:.3f}s/{calls[path]} calls"
-                    for path, secs in sorted(by_path.items())
-                )
+                f"  kernel self-time: {sum(kernels):.3f}s/{len(kernels)} calls"
             )
     jobs = [j for j in record.get("jobs", []) if not j.get("from_cache")]
     by_worker: Dict[str, int] = {}

@@ -13,7 +13,7 @@ subsystems now *also* publish into, under stable dotted names::
            layer_batches / batched_layers
     pipeline.jobs_computed / quant_stage_hits / hw_stage_hits /
              inflight_dedup
-    quant.kernel.vector_calls / reference_calls
+    quant.kernel.vector_calls
     serve.auth.rejected
 
 The full key set is machine-readable in :mod:`repro.obs.naming`

@@ -75,9 +75,8 @@ METRIC_NAMES = frozenset({
     "pipeline.quant_stage_hits",
     "pipeline.hw_stage_hits",
     "pipeline.inflight_dedup",
-    # quantization kernel paths (repro.quant.microscopiq)
+    # quantization kernel (repro.quant.microscopiq)
     "quant.kernel.vector_calls",
-    "quant.kernel.reference_calls",
     # sweep service (repro.serve.server / repro.serve.client)
     "serve.auth.rejected",
     "serve.client.retries",

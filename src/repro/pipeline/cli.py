@@ -241,13 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
              "metric (ppl / caption_score / top1 / nll)",
     )
     sweep.add_argument(
-        "--kernel-path", choices=("vector", "reference"), default=None,
-        help="quantization kernel implementation for this sweep's jobs "
-             "(default: REPRO_KERNEL env, else 'vector'; the two are "
-             "bit-identical — 'reference' exists for perf comparison and "
-             "debugging)",
-    )
-    sweep.add_argument(
         "--pareto", nargs=2, metavar=("X", "Y"), default=None,
         help="print the per-family Pareto frontier over two metrics instead "
              "of the pivot table (e.g. --pareto auto energy_nj: quality vs. "
@@ -733,28 +726,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # Through the environment so the RemoteExecutor (and any process-pool
         # workers that end up dispatching stages) resolve the same fleet.
         os.environ[DIST_URL_ENV] = args.coordinator
-    from contextlib import nullcontext
-
-    from ..quant.vector import KERNEL_PATH_ENV, use_kernel_path
-
-    # Process-pool workers inherit the choice through REPRO_KERNEL instead
-    # of the in-process override; kernel_path is not part of job identity
-    # (both paths are bit-identical), so cached results stay valid.
-    kernel_ctx = (
-        use_kernel_path(args.kernel_path) if args.kernel_path else nullcontext()
+    result = run_sweep(
+        spec,
+        cache_dir=None if args.no_cache else args.cache_dir,
+        executor=args.executor,
+        workers=args.workers,
+        progress=not args.quiet,
+        recompute=args.recompute,
+        trace=args.trace,
     )
-    if args.kernel_path and args.executor == "process":
-        os.environ[KERNEL_PATH_ENV] = args.kernel_path
-    with kernel_ctx:
-        result = run_sweep(
-            spec,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            executor=args.executor,
-            workers=args.workers,
-            progress=not args.quiet,
-            recompute=args.recompute,
-            trace=args.trace,
-        )
     t = result.telemetry
     stages = ""
     if t.get("quant_stage_hits") or t.get("hw_stage_hits"):

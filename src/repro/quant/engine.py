@@ -62,7 +62,6 @@ from ..methods.resources import (
 from ..obs.metrics import METRICS
 from ..obs.trace import Span, trace
 from .activation import ActivationQuantizer
-from .vector import resolve_kernel_path, use_kernel_path
 
 __all__ = [
     "CALIBRATION_MODES",
@@ -130,7 +129,7 @@ class _LayerTask:
 class _BatchTask:
     """Several same-shape layers row-stacked into one kernel invocation.
 
-    The vector path's shape batching: layers of one calibration group whose
+    The engine's shape batching: layers of one calibration group whose
     weights share ``d_in`` and whose calibration inputs are byte-identical
     are quantized as a single ``[sum(d_out), d_in]`` matrix (legal only for
     ``row_batchable`` methods in weight-only mode) and split back per layer
@@ -259,7 +258,6 @@ def quantize_model(
     workers: Optional[int] = None,
     hessian_store: Optional[HessianStore] = None,
     groups: Optional[List[List[str]]] = None,
-    kernel_path: Optional[str] = None,
     **quantizer_kwargs,
 ) -> QuantizationReport:
     """Quantize every linear of ``model`` in place (via overrides).
@@ -288,13 +286,11 @@ def quantize_model(
             (whose disk tier attaches from ``REPRO_HESSIAN_DIR``).
         groups: calibration groups override; defaults to the substrate
             registry's grouping (singletons for unregistered models).
-        kernel_path: ``"vector"`` (default) or ``"reference"`` — resolved via
-            :func:`~repro.quant.vector.resolve_kernel_path` (explicit arg >
-            ``use_kernel_path`` override > ``REPRO_KERNEL`` env). On the
-            vector path, methods whose spec declares ``row_batchable`` have
-            same-shape layers of a calibration group row-stacked into one
-            kernel invocation (weight-only mode; bit-identical to separate
-            dispatch, asserted in ``tests/test_vector_kernel.py``).
+
+    Methods whose spec declares ``row_batchable`` have same-shape layers of a
+    calibration group row-stacked into one kernel invocation (weight-only
+    mode; bit-identical to separate dispatch, asserted in
+    ``tests/test_vector_kernel.py``).
     """
     if calibration not in CALIBRATION_MODES:
         raise ValueError(
@@ -335,13 +331,11 @@ def quantize_model(
     report = QuantizationReport(spec.name, w_bits, act_bits)
     METRICS.incr("engine.models")
 
-    path = resolve_kernel_path(kernel_path)
     # Row-stacking is legal only when the kernel call is exactly
     # row-independent: batchable method, weight-only mode (act_bits would
     # reach the kernel otherwise), and no whole-tensor scale.
     batchable = (
-        path == "vector"
-        and spec.row_batchable
+        spec.row_batchable
         and (act_bits is None or not spec.act_aware)
         and not quantizer_kwargs.get("per_tensor")
     )
@@ -353,7 +347,6 @@ def quantize_model(
         substrate=sub.name if sub is not None else "",
         calibration=calibration,
         dispatch=dispatch,
-        kernel_path=path,
     ) as engine_span:
         kernel = _make_layer_kernel(
             spec, w_bits, act_bits, quantizer_kwargs, store,
@@ -400,17 +393,16 @@ def quantize_model(
             ]
             units = _coalesce_tasks(tasks) if batchable else tasks
             results: Dict[str, Any] = {}
-            with use_kernel_path(path):
-                for outcome in pool.run(kernel, units):
-                    if not outcome.ok:
-                        raise RuntimeError(
-                            f"quantizing layer {outcome.job.name!r} failed: "
-                            f"{outcome.error['type']}: {outcome.error['message']}"
-                        )
-                    if isinstance(outcome.job, _BatchTask):
-                        results.update(zip(outcome.job.names, outcome.metrics))
-                    else:
-                        results[outcome.job.name] = outcome.metrics
+            for outcome in pool.run(kernel, units):
+                if not outcome.ok:
+                    raise RuntimeError(
+                        f"quantizing layer {outcome.job.name!r} failed: "
+                        f"{outcome.error['type']}: {outcome.error['message']}"
+                    )
+                if isinstance(outcome.job, _BatchTask):
+                    results.update(zip(outcome.job.names, outcome.metrics))
+                else:
+                    results[outcome.job.name] = outcome.metrics
             # Install in forward order regardless of completion order.
             for name in group:
                 result = results[name]

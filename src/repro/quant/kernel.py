@@ -31,8 +31,8 @@ class BlockQuantKernel:
     * :meth:`blocks` — the ``[lo, hi)`` column ranges of the block walk;
     * :meth:`separate` — the 3σ outlier mask of one block (stage 1 of
       Algorithm 1, and the shared detection rule of OliVe/SDQ);
-    * :meth:`propagate_block_error` — the GPTQ/OBS compensation sweep for
-      one quantized block (stage 5), with the sequential within-block
+    * :meth:`propagate_block_error_gemm` — the GPTQ/OBS compensation sweep
+      for one quantized block (stage 5), with the sequential within-block
       conditioning GPTQ's Cholesky factorization requires.
     """
 
@@ -60,7 +60,7 @@ class BlockQuantKernel:
         return outlier_mask(block, self.sigma_threshold, axis=-1)
 
     @staticmethod
-    def propagate_block_error(
+    def propagate_block_error_gemm(
         w: np.ndarray, q: np.ndarray, u_factor: np.ndarray, lo: int, hi: int
     ) -> None:
         """Stage *compensate*: OBS error propagation for columns ``[lo, hi)``.
@@ -70,35 +70,18 @@ class BlockQuantKernel:
         may have been chosen jointly from that snapshot, but the error terms
         must follow the sequential Cholesky conditioning: column ``p``'s
         error is measured against the weights *after* columns ``< p`` inside
-        the block have pushed their updates (a local working copy), while
-        updates beyond the block land directly on ``w``. With ``hi == lo+1``
-        this degenerates to GPTQ's plain per-column update.
-        """
-        d_in = w.shape[1]
-        w_work = w[:, lo:hi].copy()
-        for p in range(lo, hi):
-            j = p - lo
-            err = (w_work[:, j] - q[:, p]) / u_factor[p, p]
-            if j + 1 < w_work.shape[1]:
-                w_work[:, j + 1 :] -= np.outer(err, u_factor[p, p + 1 : hi])
-            if hi < d_in:
-                w[:, hi:] -= np.outer(err, u_factor[p, hi:])
+        the block have pushed their updates.
 
-    @staticmethod
-    def propagate_block_error_gemm(
-        w: np.ndarray, q: np.ndarray, u_factor: np.ndarray, lo: int, hi: int
-    ) -> None:
-        """Blocked two-phase form of :meth:`propagate_block_error`.
-
-        Phase 1 runs the sequential Cholesky conditioning only on the small
-        ``[d_out, hi-lo]`` working copy, collecting every column's error term;
-        phase 2 pushes all trailing-column updates at once through a single
+        Phase 1 runs that conditioning only on the small ``[d_out, hi-lo]``
+        working copy, collecting every column's error term; phase 2 pushes
+        all trailing-column updates at once through a single
         ``errs @ u_factor[lo:hi, hi:]`` GEMM instead of one rank-1 update per
-        column. The error terms are computed identically (the working copy
-        never reads trailing columns), so the only float difference is the
-        summation order of the trailing updates — asserted bit-identical to
-        the reference on every golden snapshot. With ``hi == lo+1`` the GEMM
-        is an outer product and the two forms are trivially identical.
+        column (the column-by-column form is the tests' oracle,
+        ``tests/kernel_oracle.py``). The error terms are computed
+        identically, so the only float difference is the summation order of
+        the trailing updates; MicroScopiQ's outputs stay bit-identical to the
+        oracle's (``tests/test_vector_kernel.py``). With ``hi == lo+1`` the GEMM is an outer product and
+        the two forms are trivially identical.
         """
         d_in = w.shape[1]
         w_work = w[:, lo:hi].copy()

@@ -7,19 +7,22 @@ For every macro-block (MaB, 128 columns) of every row:
 2. **Scale-fit**: one shared power-of-two inlier scale ``2**Isf`` per row
    (MX-INT-b_BM), snapped to the E8M0 grid (:func:`_fit_inlier_scale`).
 3. Per micro-block (μB, 8 columns): cap outliers at ``B_μ/2``; **prune**
-   the ``n`` least-important inliers (OBS saliency ``w²/[H⁻¹]_pp``) to free
-   slots for the outliers' extra bits; **outlier-quantize** the outliers
-   jointly to MX-FP with a shared microexponent, optionally pre-scaled by
-   ``2**Isf`` (:func:`_prune_and_quantize_outliers`).
+   the ``n`` least-important inliers (OBS saliency ``w²/[H⁻¹]_pp``,
+   :func:`_select_prune_positions`) to free slots for the outliers' extra
+   bits; **outlier-quantize** the outliers jointly to MX-FP with a shared
+   microexponent, optionally pre-scaled by ``2**Isf``
+   (:func:`_quantize_outlier_group`). All rows of a μB run these stages as
+   one batch (:func:`~repro.quant.vector.vector_ub_quantize`).
 4. **Compensate** the quantization error onto not-yet-quantized columns via
    the GPTQ/OBS update
-   (:meth:`~repro.quant.kernel.BlockQuantKernel.propagate_block_error`).
+   (:meth:`~repro.quant.kernel.BlockQuantKernel.propagate_block_error_gemm`).
 
 Columns are processed strictly left-to-right along the input (dot-product)
 dimension, so the inverse-Hessian Cholesky factor drives compensation exactly
 as in GPTQ. The block-loop scaffolding (block walk, outlier separation, OBS
 propagation) lives on the shared :class:`BlockQuantKernel` that the GPTQ-family
-baselines reuse.
+baselines reuse. The per-row walk the batched stages replaced is kept in
+``tests/kernel_oracle.py`` as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from ..obs.trace import trace
 from .config import MicroScopiQConfig
 from .kernel import BlockQuantKernel
 from .packed import PackedLayer
-from .vector import resolve_kernel_path, vector_ub_quantize
+from .vector import vector_ub_quantize
 
 __all__ = ["quantize_matrix", "quantize_microscopiq"]
 
@@ -93,7 +96,8 @@ def _select_prune_positions(
     outlier_pos: np.ndarray,
     saliency: np.ndarray,
 ) -> list[int]:
-    """Pick ``n`` μB-local positions to prune from ``inlier_pos``.
+    """Pick ``min(n, len(inlier_pos))`` μB-local positions to prune from
+    ``inlier_pos``.
 
     ``saliency`` is indexed by μB-local position. "hessian" and "magnitude"
     use the provided saliency; "adjacent" mimics OliVe's victim-pair choice
@@ -105,7 +109,7 @@ def _select_prune_positions(
 
     chosen: list[int] = []
     available = set(int(p) for p in inlier_pos)
-    for p in outlier_pos[:n]:
+    for p in outlier_pos[: min(n, len(inlier_pos))]:
         pick = None
         for cand in (p + 1, p - 1):
             if cand in available:
@@ -157,73 +161,6 @@ def _fit_inlier_scale(
     return best_isf.astype(np.int32)
 
 
-def _prune_and_quantize_outliers(
-    wb: np.ndarray,
-    ub_omask: np.ndarray,
-    qb: np.ndarray,
-    config: MicroScopiQConfig,
-    isf: np.ndarray,
-    hinv_diag_ub: np.ndarray,
-    have_h: bool,
-) -> dict[int, tuple[np.ndarray, list[int], int, int]]:
-    """Stages *prune* + *outlier-quantize* for one μB.
-
-    Mutates ``qb`` in place (outlier slots get their MX-FP reconstruction,
-    pruned slots go to zero) and returns, per affected row, the μB-local
-    ``(outlier_positions, prune_positions, level1_exp, mu_x)`` metadata the
-    packer records. Saliency for the whole μB is computed at once; the
-    per-row prune choice for the sort-based strategies is one masked stable
-    argsort (outliers pushed to the end with +inf) instead of a
-    setdiff1d + fancy-index + argsort per row — the sweep profile's hottest
-    Python loop.
-    """
-    info: dict[int, tuple[np.ndarray, list[int], int, int]] = {}
-    rows = np.nonzero(ub_omask.any(axis=1))[0]
-    if not len(rows):
-        return info
-    cap = config.max_outliers_per_ub
-    width = wb.shape[1]
-    if config.prune_strategy == "hessian" and have_h:
-        sal_ub = wb**2 / hinv_diag_ub[None, :]
-    else:
-        sal_ub = np.abs(wb)
-    if config.prune_strategy in ("hessian", "magnitude"):
-        order_ub = np.argsort(
-            np.where(ub_omask, np.inf, sal_ub), axis=1, kind="stable"
-        )
-    else:
-        order_ub = None
-    for r in rows:
-        local_out = np.nonzero(ub_omask[r])[0]
-        demoted = len(local_out) > cap
-        if demoted:
-            # Demote the smallest-magnitude outliers to inliers
-            # (the "outlier pruning" regime of Fig. 14 at tiny B_μ).
-            mags = np.abs(wb[r, local_out])
-            keep = local_out[np.argsort(-mags, kind="stable")[:cap]]
-            local_out = np.sort(keep)
-        n = len(local_out)
-        if order_ub is not None and not demoted:
-            # First n entries = the n least-salient inliers, in the
-            # same stable order _select_prune_positions produces.
-            k = min(n, width - n)
-            prune_pos = [int(p) for p in order_ub[r, :k]]
-        else:
-            all_pos = np.arange(width)
-            inlier_pos = np.setdiff1d(all_pos, local_out)
-            prune_pos = _select_prune_positions(
-                config.prune_strategy, n, inlier_pos, local_out, sal_ub[r]
-            )
-
-        deq, l1, mu_x = _quantize_outlier_group(
-            wb[r, local_out], config, int(isf[r])
-        )
-        qb[r, local_out] = deq
-        qb[r, prune_pos] = 0.0
-        info[int(r)] = (local_out, prune_pos, l1, mu_x)
-    return info
-
-
 def _record_ub_meta(
     meta,
     row_ids: np.ndarray,
@@ -258,7 +195,6 @@ def quantize_matrix(
     calib_inputs: np.ndarray | None = None,
     config: MicroScopiQConfig | None = None,
     hessian: np.ndarray | HessianBundle | None = None,
-    kernel_path: str | None = None,
 ) -> PackedLayer:
     """Quantize a ``[d_out, d_in]`` weight matrix with MicroScopiQ.
 
@@ -270,19 +206,13 @@ def quantize_matrix(
     makes its ``H⁻¹``/Cholesky factors compute once per calibration instead
     of once per (bits, knob) setting.
 
-    ``kernel_path`` picks the implementation: ``"vector"`` (the default, via
-    :func:`~repro.quant.vector.resolve_kernel_path`) batches the μB stages
-    across rows — and, without compensation, across a whole macro-block —
-    while ``"reference"`` keeps the per-row loops. Both are bit-identical;
-    the knob exists for verification and benchmarking, not numerics.
+    The μB stages run batched across rows — and, without compensation,
+    across a whole macro-block.
     """
     config = config or MicroScopiQConfig()
-    path = resolve_kernel_path(kernel_path)
-    with trace("kernel:quantize_matrix", path=path):
-        # path ∈ {vector, reference}; both expansions are in the documented
-        # vocabulary (quant.kernel.{vector,reference}_calls).
-        METRICS.incr(f"quant.kernel.{path}_calls")  # repro-lint: ignore[obs-metric-name]
-        return _quantize_matrix_impl(weights, calib_inputs, config, hessian, path)
+    with trace("kernel:quantize_matrix"):
+        METRICS.incr("quant.kernel.vector_calls")
+        return _quantize_matrix_impl(weights, calib_inputs, config, hessian)
 
 
 def _quantize_matrix_impl(
@@ -290,7 +220,6 @@ def _quantize_matrix_impl(
     calib_inputs: np.ndarray | None,
     config: MicroScopiQConfig,
     hessian: np.ndarray | HessianBundle | None,
-    path: str,
 ) -> PackedLayer:
     w = np.array(weights, dtype=np.float64)
     if w.ndim != 2:
@@ -341,7 +270,7 @@ def _quantize_matrix_impl(
         isf_out[:, m_lo // bm] = isf
         scale = 2.0 ** isf.astype(np.float64)
 
-        if path == "vector" and u_factor is None:
+        if u_factor is None:
             # No cross-μB propagation: every full μB of the MaB batches as an
             # independent virtual row through the same core.
             n_full = (m_hi - m_lo) // bu
@@ -369,73 +298,34 @@ def _quantize_matrix_impl(
                         m_lo + u_off * bu,
                         *meta_sinks,
                     )
-            if m_lo + n_full * bu < m_hi:  # ragged tail μB: real rows
-                u_lo, u_hi = m_lo + n_full * bu, m_hi
-                qb, meta = vector_ub_quantize(
-                    w[:, u_lo:u_hi],
-                    omask[:, u_lo - m_lo :],
-                    scale,
-                    isf,
-                    hinv_diag[u_lo:u_hi],
-                    have_h,
-                    config,
-                )
-                q[:, u_lo:u_hi] = qb
-                if meta is not None:
-                    n_rows = len(meta.rows)
-                    _record_ub_meta(
-                        meta,
-                        meta.rows,
-                        np.full(n_rows, u_lo // bu),
-                        np.full(n_rows, u_lo),
-                        *meta_sinks,
-                    )
-            continue
+            # The ragged tail μB, if any, runs on real rows below.
+            ub_starts = range(m_lo + n_full * bu, m_hi, bu)
+        else:
+            ub_starts = range(m_lo, m_hi, bu)
 
-        for u_lo in range(m_lo, m_hi, bu):
+        for u_lo in ub_starts:
             u_hi = min(u_lo + bu, m_hi)
-            ub_idx = u_lo // bu
-            cols = slice(u_lo, u_hi)
-            wb = w[:, cols]  # current (compensated) snapshot of this μB
-            ub_omask = omask[:, u_lo - m_lo : u_hi - m_lo]
-
-            if path == "vector":
-                qb, meta = vector_ub_quantize(
-                    wb, ub_omask, scale, isf, hinv_diag[u_lo:u_hi], have_h, config
+            qb, meta = vector_ub_quantize(
+                w[:, u_lo:u_hi],  # current (compensated) snapshot of this μB
+                omask[:, u_lo - m_lo : u_hi - m_lo],
+                scale,
+                isf,
+                hinv_diag[u_lo:u_hi],
+                have_h,
+                config,
+            )
+            if meta is not None:
+                n_rows = len(meta.rows)
+                _record_ub_meta(
+                    meta,
+                    meta.rows,
+                    np.full(n_rows, u_lo // bu),
+                    np.full(n_rows, u_lo),
+                    *meta_sinks,
                 )
-                if meta is not None:
-                    n_rows = len(meta.rows)
-                    _record_ub_meta(
-                        meta,
-                        meta.rows,
-                        np.full(n_rows, ub_idx),
-                        np.full(n_rows, u_lo),
-                        *meta_sinks,
-                    )
-            else:
-                codes = np.clip(np.rint(wb / scale[:, None]), -imax, imax)
-                qb = codes * scale[:, None]
-
-                row_info = _prune_and_quantize_outliers(
-                    wb, ub_omask, qb, config, isf, hinv_diag[u_lo:u_hi], have_h
-                )
-                for r, (local_out, prune_pos, l1, mu_x) in row_info.items():
-                    out_mask[r, u_lo + local_out] = True
-                    pruned[r, u_lo + np.asarray(prune_pos, dtype=int)] = True
-                    ub_count[r, ub_idx] = len(local_out)
-                    ub_scale[r, ub_idx, 0] = np.clip(l1, -32768, 32767)
-                    ub_scale[r, ub_idx, 1] = mu_x
-                    perm_lists[(r, int(ub_idx))] = [
-                        (int(o), int(p)) for o, p in zip(local_out, prune_pos)
-                    ]
-
-            q[:, cols] = qb
-
+            q[:, u_lo:u_hi] = qb
             if u_factor is not None:
-                if path == "vector":
-                    kernel.propagate_block_error_gemm(w, q, u_factor, u_lo, u_hi)
-                else:
-                    kernel.propagate_block_error(w, q, u_factor, u_lo, u_hi)
+                kernel.propagate_block_error_gemm(w, q, u_factor, u_lo, u_hi)
 
     return PackedLayer(
         dequant=q,

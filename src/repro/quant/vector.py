@@ -1,43 +1,35 @@
-"""Vectorized fast path for the MicroScopiQ quantization hot loop.
+"""Vectorized MicroScopiQ μB core: the quantization hot loop's one path.
 
-Two things live here:
+:func:`vector_ub_quantize` runs the *quantize* / *prune* / *outlier-quantize*
+stages of Algorithm 1 for a whole batch of independent rows at once: masked
+stable argsorts replace the per-row demotion and prune loops, the per-μB
+outlier groups quantize as one ``[rows, cap]`` batch
+(:func:`_quantize_outlier_groups`), and the packer metadata comes back as
+index arrays the caller scatters in one shot.
 
-* **Kernel-path selection** — :func:`resolve_kernel_path` decides between the
-  ``"vector"`` fast path (default) and the ``"reference"`` per-row loops,
-  from an explicit argument, the :func:`use_kernel_path` override, or the
-  ``REPRO_KERNEL`` environment variable. The knob is deliberately *not* a
-  :class:`~repro.quant.config.MicroScopiQConfig` field: both paths are
-  bit-identical (asserted against every golden snapshot), so the choice must
-  not enter pipeline job hashes — cached cells are shared across paths.
-
-* **The row-batched μB core** — :func:`vector_ub_quantize` runs the
-  *quantize* / *prune* / *outlier-quantize* stages of Algorithm 1 for a whole
-  batch of independent rows at once: masked stable argsorts replace the
-  per-row demotion and prune loops, the per-μB outlier groups quantize as one
-  ``[rows, cap]`` batch (:func:`_quantize_outlier_groups`), and the packer
-  metadata comes back as index arrays the caller scatters in one shot.
-
-Bit-identity notes (each is what makes the batch legal):
+The per-row walk this replaced lives on as the tests' oracle
+(``tests/kernel_oracle.py``); ``tests/test_vector_kernel.py`` asserts the two
+bit-identical. Bit-identity notes (each is what makes the batch legal):
 
 * Demotion ranks outliers with a full-width stable argsort over
   ``-|w|`` with ``+inf`` sentinels at inlier slots — tie-for-tie identical to
-  the reference's stable argsort of the compacted magnitude array, because
+  the per-row stable argsort of the compacted magnitude array, because
   both order by ``(-|w|, position)``.
 * Prune selection is one stable argsort of the saliency with ``+inf`` at
-  kept-outlier slots; its first ``min(n, width - n)`` entries equal both
-  reference branches (the precomputed ``order_ub`` fast path and the
-  demoted-row ``_select_prune_positions`` call).
+  kept-outlier slots; its first ``min(n, width - n)`` entries are the ``n``
+  least-salient inliers :func:`~repro.quant.microscopiq._select_prune_positions`
+  picks. The ``"adjacent"`` strategy has no sort form and calls that
+  function row by row.
 * The batched MX-FP search accumulates the candidate error sums
   *sequentially* over the element axis, which matches ``np.sum``'s scalar
   loop for fewer than 8 elements; with 8+ outliers per μB (``micro_block >=
   16``) numpy switches to 8-way pairwise accumulation, so the batch falls
-  back to the per-row reference routine to keep the sums bit-identical.
+  back to the per-group :func:`~repro.quant.microscopiq._quantize_outlier_group`
+  to keep the sums bit-identical.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,62 +37,16 @@ import numpy as np
 from ..formats.mx import outlier_format_for_bits
 from ..formats.scalar import int_max, pow2_scale_exponent
 
-__all__ = [
-    "DEFAULT_KERNEL_PATH",
-    "KERNEL_PATHS",
-    "KERNEL_PATH_ENV",
-    "resolve_kernel_path",
-    "use_kernel_path",
-    "vector_ub_quantize",
-]
-
-KERNEL_PATH_ENV = "REPRO_KERNEL"
-KERNEL_PATHS = ("vector", "reference")
-DEFAULT_KERNEL_PATH = "vector"
-
-# Active use_kernel_path scopes, innermost last. A stack (not a saved
-# previous value) because scopes overlap across threads: the engine opens
-# one per whole-model run and a thread-executor sweep runs several models
-# concurrently — prev-restore semantics would let the first scope to exit
-# resurrect an already-closed scope's value.
-_OVERRIDES: list[str] = []
+__all__ = ["resolve_kernel_path", "vector_ub_quantize"]
 
 
-def _check_path(path: str) -> str:
-    if path not in KERNEL_PATHS:
-        raise ValueError(
-            f"unknown kernel path {path!r}; known: {', '.join(KERNEL_PATHS)} "
-            f"(set explicitly or via {KERNEL_PATH_ENV})"
-        )
-    return path
+def resolve_kernel_path() -> str:
+    """Always ``"vector"``, the only kernel path.
 
-
-def resolve_kernel_path(explicit: str | None = None) -> str:
-    """The kernel path to run: explicit arg > override > env > default."""
-    if explicit is not None:
-        return _check_path(explicit)
-    if _OVERRIDES:
-        return _OVERRIDES[-1]
-    env = os.environ.get(KERNEL_PATH_ENV)
-    if env:
-        return _check_path(env.strip().lower())
-    return DEFAULT_KERNEL_PATH
-
-
-@contextmanager
-def use_kernel_path(path: str):
-    """Force a kernel path for every call in the block (any thread).
-
-    The override is process-global (not thread-local) on purpose: the engine
-    sets it once around a whole-model run so thread-pool layer kernels
-    resolve the same path as the dispatching thread.
+    Kept for ``sweepbench/worker.py``'s run stamp, which still records a
+    kernel path; delete it once the stamp stops asking.
     """
-    _check_path(path)
-    _OVERRIDES.append(path)
-    try:
-        yield
-    finally:
-        _OVERRIDES.remove(path)
+    return "vector"
 
 
 # --------------------------------------------------------------------------
@@ -135,7 +81,7 @@ def _quantize_outlier_groups(
     """Batched *outlier-quantize*: one padded group per row → (deq, l1, μX).
 
     ``vals [R, capm]`` holds each row's kept outliers left-aligned and
-    zero-padded; every output is bit-identical to calling the reference
+    zero-padded; every output is bit-identical to calling
     ``_quantize_outlier_group`` row by row (padding zeros are inert: they
     never move a group max and add exactly ``+0.0`` to the error sums).
     """
@@ -151,7 +97,7 @@ def _quantize_outlier_groups(
 
     if capm >= 8:
         # np.sum switches to 8-way pairwise accumulation at 8 elements; keep
-        # the per-group error sums bit-identical via the reference routine.
+        # the per-group error sums bit-identical via the per-group routine.
         deq = np.zeros_like(vals)
         l1 = np.zeros(n_rows, np.int64)
         mu = np.zeros(n_rows, np.int64)
@@ -183,8 +129,8 @@ def _quantize_outlier_groups(
     hi = np.minimum(float(fmt.exp_levels - 1), top_exp)
 
     # One shared candidate axis covering every row's [lo, hi] μX range;
-    # out-of-range candidates get +inf error, which preserves the reference's
-    # first-minimum tie-break (the in-range window is contiguous).
+    # out-of-range candidates get +inf error, which preserves the per-group
+    # search's first-minimum tie-break (the in-range window is contiguous).
     glo, ghi = int(lo.min()), int(hi.max())
     cand = np.arange(glo, ghi + 1, dtype=np.float64)
     pw = 2.0**cand
@@ -211,7 +157,7 @@ def _quantize_outlier_groups(
     signs = np.where(v < 0, -1.0, 1.0)
     dequant = signs * recon_r * (2.0**l1)[:, None]
 
-    # Level-1 MXScale field clamp (reference epilogue).
+    # Level-1 MXScale field clamp (_quantize_outlier_group's epilogue).
     l1i = l1.astype(np.int64)
     lo_f, hi_f = _level1_field_range(fmt)
     in_range = (l1i >= lo_f) & (l1i <= hi_f)
@@ -295,16 +241,14 @@ def vector_ub_quantize(
         from .microscopiq import _select_prune_positions
 
         all_pos = np.arange(width)
-        prune_idx = np.zeros((len(rows), max(kmax, 1)), dtype=np.int64)[:, :kmax]
+        prune_idx = np.zeros((len(rows), kmax), dtype=np.int64)
         for i in range(len(rows)):
             kept = out_idx[i, : n_out[i]]
             inlier_pos = np.setdiff1d(all_pos, kept)
             picks = _select_prune_positions(
                 config.prune_strategy, int(n_out[i]), inlier_pos, kept, sal[i]
             )
-            k = min(len(picks), kmax)
-            prune_idx[i, :k] = picks[:k]
-            n_prune[i] = k
+            prune_idx[i, : n_prune[i]] = picks  # min(n, width - n) of them
     prune_valid = np.arange(kmax)[None, :] < n_prune[:, None]
 
     # Outlier groups: gather, batch-quantize, scatter back.
@@ -315,9 +259,10 @@ def vector_ub_quantize(
     sub = qb[rows]
     cur = np.take_along_axis(sub, out_idx, axis=1)
     np.put_along_axis(sub, out_idx, np.where(out_valid, deq, cur), axis=1)
-    if kmax:
-        curp = np.take_along_axis(sub, prune_idx, axis=1)
-        np.put_along_axis(sub, prune_idx, np.where(prune_valid, 0.0, curp), axis=1)
+    # Zero only the valid prune slots: the adjacent branch pads prune_idx
+    # with position 0, which may also be one of the row's real picks.
+    psel, qsel = np.nonzero(prune_valid)
+    sub[psel, prune_idx[psel, qsel]] = 0.0
     qb[rows] = sub
 
     return qb, UbRowMeta(

@@ -23,7 +23,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from conftest import make_outlier_matrix  # noqa: E402
 
-from repro.baselines.registry import QUANTIZERS  # noqa: E402
+from repro.baselines import get_quantizer  # noqa: E402
+from repro.methods import known_method_names  # noqa: E402
 
 OUT = Path(__file__).resolve().parent / "golden_quantizers.npz"
 
@@ -49,12 +50,12 @@ def main() -> None:
     weights = fixture_weights()
     calib = fixture_calib()
     blobs: dict[str, np.ndarray] = {}
-    for method in sorted(QUANTIZERS):
+    for method in sorted(known_method_names()):
         settings = list(WEIGHT_ONLY)
         if method in ACT_AWARE:
             settings += WEIGHT_ACT
         for tag, kwargs in settings:
-            res = QUANTIZERS[method](weights, calib, **kwargs)
+            res = get_quantizer(method)(weights, calib, **kwargs)
             blobs[f"{method}/{tag}/dequant"] = res.dequant
             blobs[f"{method}/{tag}/ebw"] = np.float64(res.ebw)
             print(f"{method:18s} {tag:5s} ebw={res.ebw:.3f}")

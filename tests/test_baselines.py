@@ -2,24 +2,22 @@
 paper's tables rely on.
 
 Every method runs through the first-class :mod:`repro.methods` lifecycle
-(``MethodSpec.quantize`` → ``prepare`` → ``quantize_layer``); the legacy
-``QUANTIZERS`` dict is exercised once, as the deprecated shim it now is.
+(``MethodSpec.quantize`` → ``prepare`` → ``quantize_layer``).
 """
 
 import math
 
 import numpy as np
 import pytest
+from kernel_oracle import gptq_core_walk
 
 import repro.baselines as baselines
-from repro.baselines import get_quantizer, gptq_core, group_float_scale
+from repro.baselines import get_quantizer, gptq_core
 from repro.eval.harness import evaluate_setting
 from repro.methods import METHODS, get_method, known_method_names
 from repro.methods.resources import HessianBundle
 from repro.pipeline import ResultCache, SweepSpec, run_sweep
-from repro.quant.kernel import BlockQuantKernel
 from repro.quant.outliers import outlier_mask
-from repro.quant.vector import resolve_kernel_path
 
 ALL_METHODS = known_method_names()
 
@@ -74,17 +72,6 @@ class TestCommonContract:
             get_quantizer("nope")
         with pytest.raises(KeyError, match="unknown method"):
             get_method("nope")
-
-    def test_legacy_quantizers_dict_warns(self, weights):
-        from repro.baselines.registry import QUANTIZERS
-
-        assert sorted(QUANTIZERS) == ALL_METHODS  # iteration stays silent
-        with pytest.warns(DeprecationWarning, match="repro.methods"):
-            fn = QUANTIZERS["rtn"]
-        res = fn(weights, None, bits=4)
-        assert np.array_equal(
-            res.dequant, METHODS["rtn"].quantize(weights, None, bits=4).dequant
-        )
 
 
 class TestOrderings:
@@ -252,34 +239,6 @@ class TestAwqOmniquant:
         assert res.meta["mode"] == "weight-activation"
 
 
-def _gptq_reference(
-    weights, hessian, bits_per_col, group_size=128, clip_ratio=1.0, kernel_path=None
-):
-    """``gptq_core`` as it was before it walked a transposed working copy:
-    strided column reads and one ``np.outer`` temporary per column."""
-    w = np.array(weights, dtype=np.float64)
-    d_out, d_in = w.shape
-    u = HessianBundle.wrap(hessian).u_factor
-    q = np.zeros_like(w)
-    kernel = BlockQuantKernel(group_size, detect_outliers=False)
-    vector = resolve_kernel_path(kernel_path) == "vector"
-    for lo, hi in kernel.blocks(d_in):
-        group_bits = int(bits_per_col[lo])
-        scale = group_float_scale(w[:, lo:hi], group_bits, clip_ratio)[:, 0]
-        for p in range(lo, hi):
-            bits = int(bits_per_col[p])
-            maxq = 2 ** (bits - 1) - 1
-            col_scale = scale * (2 ** (group_bits - 1) - 1) / maxq if bits != group_bits else scale
-            q[:, p] = np.clip(np.rint(w[:, p] / col_scale), -maxq, maxq) * col_scale
-            if vector:
-                err = (w[:, p] - q[:, p]) / u[p, p]
-                if p + 1 < d_in:
-                    w[:, p + 1 :] -= np.outer(err, u[p, p + 1 :])
-            else:
-                kernel.propagate_block_error(w, q, u, p, p + 1)
-    return q
-
-
 # Uniform widths, then Atom-style mixes: (outlier-channel bits, other bits).
 _GPTQ_BITS = [(2, 2), (4, 4), (8, 8), (8, 4), (8, 2)]
 # (group_size, clip_ratio, pass a HessianBundle instead of the raw H).
@@ -291,12 +250,14 @@ _GPTQ_SHAPES = [(o, i) for o in (1, 7, 288, 768) for i in (1, 5, 96, 130, 384)]
 
 class TestGptqCoreTransposedWalk:
     """``gptq_core`` walks a transposed, C-contiguous working copy. Each
-    output must equal the untransposed column walk bit for bit, on both
-    kernel paths, and come back C-contiguous ``[d_out, d_in]``."""
+    output must equal the oracle's untransposed column walk bit for bit and
+    come back C-contiguous ``[d_out, d_in]``. The oracle writes each
+    column's update out inline (``vector``) or runs it through the oracle's
+    OBS stage ``propagate_block_error`` (``reference``)."""
 
-    @pytest.mark.parametrize("kernel_path", ["vector", "reference"])
+    @pytest.mark.parametrize("update", ["vector", "reference"])
     @pytest.mark.parametrize("d_out, d_in", _GPTQ_SHAPES)
-    def test_equals_untransposed_walk(self, d_out, d_in, kernel_path):
+    def test_equals_untransposed_walk(self, d_out, d_in, update):
         rng = np.random.default_rng(1000 * d_out + d_in)
         w = rng.normal(0.0, 0.02, (d_out, d_in))
         w[rng.random(w.shape) < 0.01] *= 6.0
@@ -308,10 +269,11 @@ class TestGptqCoreTransposedWalk:
             # through all eight across the grid.
             group_size, clip, bundle = _GPTQ_SETTINGS[(k + d_out + d_in) % 8]
             hessian = HessianBundle(h=h) if bundle else h
-            args = (w, hessian, bits_per_col, group_size, clip, kernel_path)
+            args = (w, hessian, bits_per_col, group_size, clip)
             got = gptq_core(*args)
             assert got.flags["C_CONTIGUOUS"] and got.shape == (d_out, d_in)
-            assert np.array_equal(got, _gptq_reference(*args))
+            want = gptq_core_walk(*args, obs_stage=update == "reference")
+            assert np.array_equal(got, want)
 
     def test_leaves_its_arguments_alone(self):
         rng = np.random.default_rng(7)

@@ -407,6 +407,21 @@ class TestWorker:
         assert len(requests) >= 2
         assert set(requests) == {b"POST /api/tasks/pull HTTP/1.1"}
 
+    def test_worker_drains_out_when_coordinator_is_gone(self):
+        """Every pull refused: ``max_idle_s`` still bounds the loop."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]  # closed again: pulls are refused
+        worker = DistWorker(CoordinatorClient(f"http://127.0.0.1:{port}"), poll=0.05)
+        returned = []
+        thread = threading.Thread(
+            target=lambda: returned.append(worker.run_forever(max_idle_s=1.0)),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive(), "worker still polling a closed port"
+        assert returned == [0]
+
 
 # ----------------------------------------------------------- remote executor
 

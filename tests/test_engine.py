@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from kernel_oracle import oracle_kernels
 
 from repro.baselines.registry import get_quantizer
 from repro.models import build_model
@@ -132,22 +133,19 @@ class TestGroupedDispatch:
         calibration groups."""
         model = build_model("opt-6.7b")
         store = HessianStore()
-        quantize_model(
-            model, "microscopiq", 4, hessian_store=store, kernel_path="reference"
-        )
+        with oracle_kernels():  # one kernel call per layer
+            quantize_model(model, "microscopiq", 4, hessian_store=store)
         n_layers = model.profile.n_layers
         assert store.misses == 4 * n_layers
         assert store.hits == 3 * n_layers
         model.clear_overrides()
 
-        # The vector path's shape batching goes further: wq/wk/wv (and
-        # w1/w3) coalesce into one kernel invocation each, so every distinct
+        # The engine's shape batching goes further: wq/wk/wv (and w1/w3)
+        # coalesce into one kernel invocation each, so every distinct
         # Hessian is requested exactly once — same 4 per block, zero re-hits.
         model = build_model("opt-6.7b")
         store = HessianStore()
-        quantize_model(
-            model, "microscopiq", 4, hessian_store=store, kernel_path="vector"
-        )
+        quantize_model(model, "microscopiq", 4, hessian_store=store)
         assert store.misses == 4 * n_layers
         assert store.hits == 0
         model.clear_overrides()

@@ -19,8 +19,8 @@ round a GEMM or a Cholesky differently in the last bits (gptq and atom
 differ by up to 15.6·eps·max|golden| on numpy 2.4.6 with scipy-openblas
 0.3.31). So ``dequant`` is compared with |Δ| ≤ 64·eps·max|golden| per
 matrix — a drift from a code change is many orders larger — while EBW
-stays exact. Comparisons inside one process (vector vs reference path,
-executors, frontends) keep ``np.array_equal`` in their own suites.
+stays exact. Comparisons inside one process (library vs the tests'
+oracle, executors, frontends) keep ``np.array_equal`` in their own suites.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Every registered baseline must round-trip through a 1-job pipeline sweep.
 
 This is the registry's integration contract: a name in
-``repro.baselines.registry.QUANTIZERS`` is only useful if the orchestration
+``repro.methods.known_method_names()`` is only useful if the orchestration
 layer can build the model, quantize with it, evaluate it, and cache the
 result without special-casing. Any signature drift in a baseline (renamed
 kwargs, broken ``BaselineResult`` fields) surfaces here as a failed job with
@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from repro.baselines.registry import QUANTIZERS
+from repro.methods import known_method_names
 from repro.pipeline import ExperimentSpec, run_sweep
 
 FAMILY = "opt-6.7b"  # smallest analog — keeps the full registry pass cheap
@@ -27,7 +27,7 @@ def fp_ppl():
     return result.outcomes[0].metrics["ppl"]
 
 
-@pytest.mark.parametrize("method", sorted(QUANTIZERS))
+@pytest.mark.parametrize("method", sorted(known_method_names()))
 def test_registry_method_round_trips_through_pipeline(method, fp_ppl, tmp_path):
     spec = ExperimentSpec(family=FAMILY, method=method, w_bits=4, **CHEAP)
     result = run_sweep([spec], cache_dir=str(tmp_path), executor="serial")

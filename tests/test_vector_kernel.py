@@ -1,23 +1,22 @@
-"""The vectorized quantization fast path: bit-identity and plumbing.
+"""The vectorized quantization kernels against the tests' oracle.
 
-PR 7 added a ``"vector"`` kernel path — batched μB quantization inside
-``quantize_matrix``, the GEMM-form OBS block update, vectorized
-gptq/olive inner loops, and the engine's row-stacked shape batching — all
-of which must be **bit-identical** to the reference implementations. This
+The library runs batched μB quantization inside ``quantize_matrix``, the
+GEMM-form OBS block update, vectorized gptq/olive inner loops, and the
+engine's row-stacked shape batching — all of which must be
+**bit-identical** to the per-row walks kept in :mod:`kernel_oracle`. This
 suite pins that contract:
 
-* kernel-path resolution (explicit arg > ``use_kernel_path`` override >
-  ``REPRO_KERNEL`` env > ``"vector"`` default, bad names rejected);
-* every golden snapshot reproduced on *both* paths (the existing golden
-  suite runs whichever path is default; here both are forced);
-* vector-vs-reference equality across all registered baselines and across
+* the one-path stub ``resolve_kernel_path`` that ``sweepbench`` stamps;
+* library-vs-oracle equality across all registered baselines and across
   representative MicroScopiQ configs, including full
   :class:`~repro.quant.packed.PackedLayer` structural equality;
 * a randomized ragged-shape property test (``d_in % micro_block != 0``,
-  ``d_in % macro_block != 0``);
-* ``propagate_block_error_gemm`` against the column-loop reference;
-* the engine's shape batching: same model bits on either path, batches
-  actually formed for ``row_batchable`` methods and refused for the rest;
+  ``d_in % macro_block != 0``), and the two ``prune_strategy="adjacent"``
+  regressions;
+* ``propagate_block_error_gemm`` against the oracle's column loop;
+* the engine's shape batching: same model bits as the oracle's unbatched
+  run, batches actually formed for ``row_batchable`` methods and refused
+  for the rest;
 * ``split_rows`` round-trips for :class:`PackedLayer` and
   :class:`BaselineResult`;
 * the memory contract: Hessian bundles drop their activation reference
@@ -27,31 +26,52 @@ suite pins that contract:
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
+from kernel_oracle import (
+    assert_packed_equal,
+    gptq_core_walk,
+    oracle_kernels,
+    propagate_block_error,
+    quantize_olive_walk,
+)
 
 from repro.baselines import get_quantizer
 from repro.methods import get_method, known_method_names
 from repro.quant.config import MicroScopiQConfig
 from repro.quant.kernel import BlockQuantKernel
 from repro.quant.microscopiq import quantize_matrix
-from repro.quant.vector import (
-    DEFAULT_KERNEL_PATH,
-    KERNEL_PATH_ENV,
-    resolve_kernel_path,
-    use_kernel_path,
-)
+from repro.quant.vector import resolve_kernel_path
 from tests.conftest import make_outlier_matrix
 
 
-def assert_packed_equal(a, b, context=""):
-    assert np.array_equal(a.dequant, b.dequant), f"{context}: dequant differs"
-    assert np.array_equal(a.inlier_scale_exp, b.inlier_scale_exp), context
-    assert np.array_equal(a.outlier_mask, b.outlier_mask), context
-    assert np.array_equal(a.pruned_mask, b.pruned_mask), context
-    assert np.array_equal(a.ub_outlier_count, b.ub_outlier_count), context
-    assert np.array_equal(a.ub_scale, b.ub_scale), context
-    assert a.perm_lists == b.perm_lists, f"{context}: perm_lists differ"
+@contextmanager
+def on_oracles():
+    """Everything the per-row walks used to cover: :func:`oracle_kernels`
+    plus GPTQ's untransposed column walk (``gptq``, ``atom``)."""
+    with oracle_kernels(), mock.patch(
+        "repro.baselines.gptq.gptq_core", gptq_core_walk
+    ), mock.patch("repro.baselines.atom.gptq_core", gptq_core_walk):
+        yield
+
+
+def oracle_quantize(quantize, method, *args, **kwargs):
+    """``quantize(*args, **kwargs)`` (``method``'s library entry point) run
+    on the oracles. OliVe's registered function is bound at import, so its
+    oracle is called directly."""
+    if method == "olive":
+        return quantize_olive_walk(*args, **kwargs)
+    with on_oracles():
+        return quantize(*args, **kwargs)
+
+
+def oracle_matrix(weights, calib=None, config=None):
+    """``quantize_matrix`` on the oracle's per-row walk."""
+    with oracle_kernels():
+        return quantize_matrix(weights, calib, config)
 
 
 def assert_result_equal(a, b, context=""):
@@ -71,64 +91,31 @@ def assert_result_equal(a, b, context=""):
             assert va == vb, f"{context}: meta[{key}] differs"
 
 
-# ------------------------------------------------------------- path plumbing
+# ------------------------------------------------------------- path stub
 
 
 class TestKernelPathResolution:
     def test_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_PATH_ENV, raising=False)
-        assert DEFAULT_KERNEL_PATH == "vector"
+        # The environment variable that used to pick a path is ignored.
+        monkeypatch.setenv("REPRO_KERNEL", "reference")
         assert resolve_kernel_path() == "vector"
 
-    def test_env_selects_reference(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_PATH_ENV, " Reference ")
-        assert resolve_kernel_path() == "reference"
+    def test_override_restored_on_error(self):
+        """The oracle seam must not outlive its block, or every later
+        library run in the process would silently be the oracle."""
+        from repro.quant import engine, microscopiq
 
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_PATH_ENV, "vector")
-        with use_kernel_path("reference"):
-            assert resolve_kernel_path() == "reference"
-        assert resolve_kernel_path() == "vector"
-
-    def test_explicit_beats_override(self):
-        with use_kernel_path("reference"):
-            assert resolve_kernel_path("vector") == "vector"
-
-    def test_bad_names_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="vector"):
-            resolve_kernel_path("simd")
-        with pytest.raises(ValueError):
-            with use_kernel_path("fast"):
-                pass
-        monkeypatch.setenv(KERNEL_PATH_ENV, "warp")
-        with pytest.raises(ValueError, match=KERNEL_PATH_ENV):
-            resolve_kernel_path()
-
-    def test_override_restored_on_error(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_PATH_ENV, raising=False)
+        impl, coalesce = microscopiq._quantize_matrix_impl, engine._coalesce_tasks
         with pytest.raises(RuntimeError):
-            with use_kernel_path("reference"):
+            with oracle_kernels():
+                assert microscopiq._quantize_matrix_impl is not impl
+                assert engine._coalesce_tasks is not coalesce
                 raise RuntimeError("boom")
-        assert resolve_kernel_path() == DEFAULT_KERNEL_PATH
-
-    def test_interleaved_scopes_unwind_cleanly(self, monkeypatch):
-        """Two threads' engine scopes overlap (thread-executor sweeps run
-        whole-model jobs concurrently); the first to exit must not resurrect
-        or destroy the other's override — and once both close, the override
-        must be fully gone."""
-        monkeypatch.delenv(KERNEL_PATH_ENV, raising=False)
-        a, b = use_kernel_path("vector"), use_kernel_path("vector")
-        a.__enter__()
-        b.__enter__()
-        a.__exit__(None, None, None)  # A exits while B is still active
-        assert resolve_kernel_path() == "vector"
-        b.__exit__(None, None, None)
-        assert resolve_kernel_path() == DEFAULT_KERNEL_PATH
-        monkeypatch.setenv(KERNEL_PATH_ENV, "reference")
-        assert resolve_kernel_path() == "reference"  # no stale override
+        assert microscopiq._quantize_matrix_impl is impl
+        assert engine._coalesce_tasks is coalesce
 
 
-# ------------------------------------------------- golden snapshots, both paths
+# ------------------------------------------------- every baseline vs. oracle
 
 
 _ACT_AWARE = ("smoothquant", "omniquant", "atom", "microscopiq", "omni-microscopiq")
@@ -150,18 +137,16 @@ def _method_cases():
 class TestEveryBaselineBothPaths:
     @pytest.mark.parametrize("method,kwargs", _method_cases())
     def test_vector_matches_reference(self, weights, calib, method, kwargs):
-        with use_kernel_path("reference"):
-            ref = get_method(method).quantize(weights, calib, **kwargs)
-        with use_kernel_path("vector"):
-            vec = get_method(method).quantize(weights, calib, **kwargs)
+        quantize = get_method(method).quantize
+        ref = oracle_quantize(quantize, method, weights, calib, **kwargs)
+        vec = quantize(weights, calib, **kwargs)
         assert_result_equal(ref, vec, f"{method} {kwargs}")
 
     @pytest.mark.parametrize("method", sorted(known_method_names()))
     def test_vector_matches_reference_without_calibration(self, weights, method):
-        with use_kernel_path("reference"):
-            ref = get_quantizer(method)(weights, None, bits=4)
-        with use_kernel_path("vector"):
-            vec = get_quantizer(method)(weights, None, bits=4)
+        quantize = get_quantizer(method)
+        ref = oracle_quantize(quantize, method, weights, None, bits=4)
+        vec = quantize(weights, None, bits=4)
         assert_result_equal(ref, vec, f"{method} no-calib")
 
 
@@ -189,8 +174,8 @@ class TestMicroScopiQConfigs:
     def test_config_bit_identical(self, weights, calib, name, with_calib):
         cfg = _CONFIGS[name]
         x = calib if with_calib else None
-        ref = quantize_matrix(weights, x, cfg, kernel_path="reference")
-        vec = quantize_matrix(weights, x, cfg, kernel_path="vector")
+        ref = oracle_matrix(weights, x, cfg)
+        vec = quantize_matrix(weights, x, cfg)
         assert_packed_equal(ref, vec, name)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -210,18 +195,52 @@ class TestMicroScopiQConfigs:
             macro_block=macro,
             compensate=bool(seed % 2),
         )
-        ref = quantize_matrix(w, x, cfg, kernel_path="reference")
-        vec = quantize_matrix(w, x, cfg, kernel_path="vector")
+        ref = oracle_matrix(w, x, cfg)
+        vec = quantize_matrix(w, x, cfg)
         assert_packed_equal(ref, vec, f"seed={seed} {d_out}x{d_in} ub={micro}")
+
+
+class TestAdjacentPrune:
+    """``prune_strategy="adjacent"`` (OliVe's victim choice) on the two
+    inputs that broke it."""
+
+    def test_pruned_slot_at_position_zero_reads_zero(self):
+        # Row 0 prunes μB positions 0 and 3; row 1 prunes four slots, so
+        # row 0's picks are padded to four — with position 0.
+        w = np.random.default_rng(0).normal(0, 0.02, (2, 128))
+        w[0, 0] = 0.05
+        w[0, 1:3] = 1.0
+        w[1, 0:4] = 1.0
+        cfg = MicroScopiQConfig(inlier_bits=4, prune_strategy="adjacent", compensate=False)
+        vec = quantize_matrix(w, None, cfg)
+        assert vec.pruned_mask[0, 0] and vec.dequant[0, 0] == 0.0
+        assert_packed_equal(oracle_matrix(w, None, cfg), vec, "no calibration")
+
+        x = np.random.default_rng(1).normal(0, 1, (64, 128))
+        cfg = MicroScopiQConfig(inlier_bits=4, prune_strategy="adjacent")
+        vec = quantize_matrix(w, x, cfg)
+        assert not vec.dequant[vec.pruned_mask].any()
+        assert_packed_equal(oracle_matrix(w, x, cfg), vec, "compensated")
+
+    def test_tail_ub_with_more_outliers_than_inliers(self):
+        # The 1-column tail macro-block's only entry is an outlier: there
+        # is no inlier to give up its slot.
+        w = np.random.default_rng(2).normal(0, 0.02, (1, 129))
+        w[0, 128] = 1.0
+        cfg = MicroScopiQConfig(inlier_bits=4, prune_strategy="adjacent")
+        vec = quantize_matrix(w, None, cfg)
+        assert vec.outlier_mask[0, 128] and not vec.pruned_mask[0, 128]
+        assert_packed_equal(oracle_matrix(w, None, cfg), vec, "tail")
 
 
 # ----------------------------------------------------------- OBS GEMM update
 
 
 class TestPropagateBlockErrorGemm:
-    """The GEMM form's contract (see its docstring): error terms follow the
-    identical sequential conditioning; only the *summation order* of the
-    trailing updates may differ, at ulp scale. Full bit-identity is an
+    """The GEMM form's contract (see its docstring) against the oracle's
+    column loop: error terms follow the identical sequential conditioning;
+    only the *summation order* of the trailing updates may differ, at ulp
+    scale. Full bit-identity is an
     end-to-end property of the quantizers (asserted above on goldens and
     random matrices), not a per-call guarantee on arbitrary floats."""
 
@@ -240,7 +259,7 @@ class TestPropagateBlockErrorGemm:
         w0, q, u = self._problem()
         for lo in range(w0.shape[1]):
             w_ref, w_gemm = w0.copy(), w0.copy()
-            BlockQuantKernel.propagate_block_error(w_ref, q, u, lo, lo + 1)
+            propagate_block_error(w_ref, q, u, lo, lo + 1)
             BlockQuantKernel.propagate_block_error_gemm(w_gemm, q, u, lo, lo + 1)
             assert np.array_equal(w_ref, w_gemm), f"column {lo}"
 
@@ -251,7 +270,7 @@ class TestPropagateBlockErrorGemm:
         for lo in range(0, d_in, block):
             hi = min(lo + block, d_in)
             w_ref, w_gemm = w0.copy(), w0.copy()
-            BlockQuantKernel.propagate_block_error(w_ref, q, u, lo, hi)
+            propagate_block_error(w_ref, q, u, lo, hi)
             BlockQuantKernel.propagate_block_error_gemm(w_gemm, q, u, lo, hi)
             # Columns at or before the block are untouched by both forms.
             assert np.array_equal(w_ref[:, :hi], w0[:, :hi])
@@ -267,14 +286,16 @@ class TestPropagateBlockErrorGemm:
 
 class TestEngineShapeBatching:
     def _quantize(self, method, path, **kw):
+        """Quantize opt-6.7b with the library (``path="vector"``) or on the
+        oracles, unbatched (``path="reference"``)."""
         from repro.models import build_model
         from repro.quant.engine import HessianStore, quantize_model
 
         model = build_model("opt-6.7b")
-        report = quantize_model(
-            model, method, 4, hessian_store=HessianStore(),
-            kernel_path=path, **kw,
-        )
+        with on_oracles() if path == "reference" else nullcontext():
+            report = quantize_model(
+                model, method, 4, hessian_store=HessianStore(), **kw,
+            )
         overrides = {n: model.overrides[n].copy() for n in model.linear_names}
         model.clear_overrides()
         return overrides, report
