@@ -40,7 +40,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Iterable, Iterator, Protocol
 
 __all__ = [
     "Finding",

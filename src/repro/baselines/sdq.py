@@ -15,7 +15,7 @@ import numpy as np
 from ..formats.scalar import int_max
 from ..quant.kernel import BlockQuantKernel
 from .omniquant import _lwc_quantize
-from .base import BaselineResult, rtn_group_quantize
+from .base import BaselineResult
 
 __all__ = ["quantize_sdq"]
 

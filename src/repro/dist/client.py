@@ -9,7 +9,7 @@ like the sweep service's client.
 :class:`~repro.pipeline.cache.BlobStore` protocol over the coordinator's
 ``/api/blobs`` relay, so ``REPRO_HESSIAN_DIR=http://coordinator:8643``
 gives workers without shared disk the same fleet-wide build coalescing a
-shared directory or SQLite tier provides. Like the other blob stores it
+shared directory tier provides. Like the directory store it
 degrades gracefully: an unreachable relay reads as a miss and a claim you
 can't register is treated as owned (build locally rather than stall).
 """
@@ -79,8 +79,6 @@ class CoordinatorClient(ServeClient):
 
 class HttpBlobStore:
     """:class:`BlobStore` over a coordinator's ``/api/blobs`` relay."""
-
-    name = "http"
 
     def __init__(self, base_url: str, timeout: float = 30.0, token: Optional[str] = None):
         self.base_url = base_url.rstrip("/")

@@ -36,7 +36,6 @@ a token.
 from __future__ import annotations
 
 import argparse
-import hmac
 import json
 import os
 import secrets
@@ -50,7 +49,7 @@ from urllib.parse import unquote, urlparse
 from .. import __version__
 from ..obs.metrics import METRICS
 from ..pipeline.cache import ResultCache, make_blob_store
-from ..serve.server import TOKEN_ENV, _LOOPBACK_HOSTS
+from ..serve.server import TOKEN_ENV, _LOOPBACK_HOSTS, _authorized
 
 __all__ = [
     "Coordinator",
@@ -68,8 +67,6 @@ DEFAULT_LEASE_S = 30.0
 
 class _MemoryBlobStore:
     """In-memory :class:`BlobStore` for cache-less coordinators (tests)."""
-
-    name = "memory"
 
     def __init__(self) -> None:
         self._blobs: Dict[str, bytes] = {}
@@ -136,16 +133,11 @@ class Coordinator:
         self,
         cache_dir: Optional[str] = None,
         lease_s: float = DEFAULT_LEASE_S,
-        cache_backend: Optional[str] = None,
         hessian_tier: str = "",
     ):
         self.epoch = secrets.token_hex(8)
         self.lease_s = float(lease_s)
-        self.cache = (
-            ResultCache(cache_dir, backend=cache_backend)
-            if cache_dir is not None
-            else None
-        )
+        self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.blobs = (
             make_blob_store(self.cache.hessian_tier_target())
             if self.cache is not None
@@ -384,21 +376,6 @@ class _Handler(BaseHTTPRequestHandler):
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"request body is not valid JSON: {exc}") from None
 
-    def _authorized(self) -> bool:
-        """The serve-stack bearer check: no configured token = open."""
-        token = self.server.token
-        if not token:
-            return True
-        header = self.headers.get("Authorization") or ""
-        scheme, _, presented = header.partition(" ")
-        if scheme.lower() == "bearer" and hmac.compare_digest(
-            presented.strip(), token
-        ):
-            return True
-        METRICS.incr("serve.auth.rejected")
-        self._error(401, f"missing or invalid bearer token (set {TOKEN_ENV})")
-        return False
-
     def _parts(self) -> List[str]:
         return [unquote(p) for p in urlparse(self.path).path.split("/") if p]
 
@@ -438,7 +415,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             parts = self._parts()
             if len(parts) == 3 and parts[:2] == ["api", "blobs"]:
-                if not self._authorized():
+                if not _authorized(self):
                     return
                 self.server.core.blobs.put(parts[2], self._read_body())
                 return self._json(200, {"ok": True})
@@ -452,7 +429,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802
         try:
             parts = self._parts()
-            if not self._authorized():
+            if not _authorized(self):
                 return
             core = self.server.core
             if parts[:2] == ["api", "tasks"]:
@@ -534,7 +511,6 @@ def start_in_thread(
     port: int = 0,
     cache_dir: Optional[str] = None,
     lease_s: float = DEFAULT_LEASE_S,
-    cache_backend: Optional[str] = None,
     hessian_tier: str = "",
     token: Optional[str] = None,
     quiet: bool = True,
@@ -551,7 +527,6 @@ def start_in_thread(
     core = Coordinator(
         cache_dir=cache_dir,
         lease_s=lease_s,
-        cache_backend=cache_backend,
         hessian_tier=hessian_tier,
     )
     server = CoordinatorServer((host, port), core, quiet=quiet, token=token)
@@ -574,17 +549,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="result cache answering and persisting completed jobs",
     )
     parser.add_argument(
-        "--cache-backend", default=None, choices=["auto", "dir", "sqlite"],
-        help="record store backend (default: auto-detect / REPRO_CACHE_BACKEND)",
-    )
-    parser.add_argument(
         "--lease-s", type=float, default=DEFAULT_LEASE_S,
         help="seconds a worker may hold a task without renewing",
     )
     parser.add_argument(
         "--hessian-tier", default="",
-        help="tier target advertised to workers (path or sqlite:///http:// "
-             "URL); default: this coordinator's own blob relay",
+        help="Hessian tier advertised to workers (a shared directory path "
+             "or an http(s):// URL); default: this coordinator's own blob "
+             "relay",
     )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
@@ -598,7 +570,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     core = Coordinator(
         cache_dir=args.cache_dir,
         lease_s=args.lease_s,
-        cache_backend=args.cache_backend,
         hessian_tier=args.hessian_tier,
     )
     server = CoordinatorServer(

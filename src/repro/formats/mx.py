@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fp import E1M2, E3M4, FPFormat
-from .scalar import dequantize_int, int_max, pow2_scale_exponent, quantize_int
+from .scalar import dequantize_int, pow2_scale_exponent, quantize_int
 
 __all__ = [
     "MxIntResult",

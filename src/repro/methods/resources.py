@@ -16,13 +16,12 @@ tiers:
   coalesce on the bundle's own lock, so a wq/wk/wv group dispatched in
   parallel builds its shared ``H`` once);
 * an optional **content-addressed blob tier** behind the
-  :class:`repro.pipeline.cache.BlobStore` protocol — the original directory
-  layout (``<root>/<hh>/<fp>.npz`` blobs, written atomically), a WAL-mode
-  SQLite blob table (``sqlite://…``), or a distributed coordinator's blob
-  relay (``http://…``) — so multi-process and multi-host sweeps stop
-  recomputing Hessians per worker: the first worker to build an ``H``
-  persists it, every other worker — and every later *process* — loads the
-  blob instead of re-running the O(n·d²) ``XᵀX`` build. The blob holds the
+  :class:`repro.pipeline.cache.BlobStore` protocol — a directory
+  (``<root>/<hh>/<fp>.npz`` blobs, written atomically) or a distributed
+  coordinator's blob relay (``http://…``) — so multi-process and multi-host
+  sweeps stop recomputing Hessians per worker: the first worker to build an
+  ``H`` persists it, every other worker — and every later *process* — loads
+  the blob instead of re-running the O(n·d²) ``XᵀX`` build. The blob holds the
   *factors* too: ``hinv_diag`` and the Cholesky ``u_factor`` are appended
   (under version-tagged keys) as they are first computed, so a genuinely
   fresh process pays zero O(d³) inversions for fingerprints an earlier run
@@ -40,7 +39,7 @@ compute themselves.
 
 :func:`default_hessian_store` returns the process-wide store; its blob tier
 attaches from the ``REPRO_HESSIAN_DIR`` environment variable (a directory
-path, ``sqlite://`` database, or ``http://`` coordinator URL), which the
+path or an ``http://`` coordinator URL), which the
 sweep runner sets (next to the ``ResultCache``) before spawning workers so
 the whole pool shares one tier without any pickled plumbing.
 """
@@ -88,12 +87,13 @@ def _blob_key(factor: str) -> str:
 
 def _normalize_target(target: Any) -> Any:
     """A comparable tier target: ``Path`` for plain directories, the string
-    itself for ``sqlite://``/``http(s)://`` URLs, pass-through otherwise."""
+    itself for ``scheme://`` URLs (which ``make_blob_store`` accepts or
+    rejects), pass-through otherwise."""
     if target is None:
         return None
     if isinstance(target, (str, os.PathLike)):
         spec = str(target)
-        if spec.startswith(("sqlite://", "http://", "https://")):
+        if "://" in spec:
             return spec
         return Path(spec)
     return target
@@ -402,8 +402,8 @@ class HessianStore:
     computation runs under the bundle's own lock, which is what coalesces a
     thread-dispatched wq/wk/wv group onto one ``XᵀX`` build.
 
-    With ``disk_root`` set — a directory path, ``sqlite://`` database, or
-    ``http://`` coordinator URL, resolved through
+    With ``disk_root`` set — a directory path or an ``http://`` coordinator
+    URL, resolved through
     :func:`repro.pipeline.cache.make_blob_store` — every freshly built ``H``
     is persisted as a content-addressed blob, and the expensive factors
     (``hinv_diag``, the Cholesky ``u_factor``) are appended to it as they
@@ -431,7 +431,7 @@ class HessianStore:
         """Attach or re-target the blob tier (thread-safe).
 
         ``target`` is anything :func:`~repro.pipeline.cache.make_blob_store`
-        resolves — a path, a ``sqlite://``/``http://`` URL, or an existing
+        resolves — a path, an ``http://`` URL, or an existing
         :class:`~repro.pipeline.cache.BlobStore`. ``default_hessian_store``
         re-reads ``REPRO_HESSIAN_DIR`` on every call, possibly from
         concurrent worker threads; the retarget must not race a ``bundle()``
@@ -511,8 +511,7 @@ class HessianStore:
     @classmethod
     def clean_disk(cls, disk_root, older_than: Optional[float] = None) -> int:
         """Delete tier blobs under ``disk_root`` (all, or only ones older
-        than ``older_than`` seconds) — any backend a tier target resolves
-        to, so ``repro-sweep clean`` covers SQLite tiers with the same call.
+        than ``older_than`` seconds) — any store a tier target resolves to.
         Returns the number of blobs removed."""
         from ..pipeline.cache import make_blob_store
 

@@ -36,7 +36,6 @@ from typing import (
     Dict,
     Optional,
     Protocol,
-    Sequence,
     Tuple,
     runtime_checkable,
 )

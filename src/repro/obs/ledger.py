@@ -354,7 +354,7 @@ def render_run(record: Dict[str, Any], slowest: int = 8) -> List[str]:
         ("quant.kernel.", "kernel"),
         # Fleet activity (remote executor) and blob-tier claim traffic.
         ("dist.", "dist"),
-        ("cache.backend.", "cache-backend"),
+        ("cache.backend.", "blob-claims"),
     ):
         row = {
             k[len(prefix):]: v for k, v in sorted(counters.items()) if k.startswith(prefix)

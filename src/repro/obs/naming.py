@@ -63,6 +63,7 @@ METRIC_NAMES = frozenset({
     "result_cache.hits",
     "result_cache.misses",
     "result_cache.puts",
+    "result_cache.refused",
     # quantization engine (repro.quant.engine)
     "engine.models",
     "engine.groups",
@@ -80,8 +81,7 @@ METRIC_NAMES = frozenset({
     # sweep service (repro.serve.server / repro.serve.client)
     "serve.auth.rejected",
     "serve.client.retries",
-    # pluggable cache backends (repro.pipeline.cache)
-    "cache.backend.vacuums",
+    # Hessian-tier build claims (repro.pipeline.cache / repro.methods.resources)
     "cache.backend.claims_broken",
     "cache.backend.claim_waits",
     # distributed execution (repro.dist)

@@ -1,4 +1,4 @@
-"""Content-addressed result store over pluggable storage backends.
+"""Content-addressed result store, and the Hessian tier's blob stores.
 
 Each completed job is one JSON record keyed by the job's content hash
 (:attr:`repro.pipeline.spec.Job.job_hash` — spec + ``repro.__version__`` +
@@ -7,38 +7,31 @@ partially-overlapping sweeps only compute the jobs whose hash is absent;
 bumping ``repro.__version__`` or the sweep seed naturally invalidates
 everything.
 
-*Where* the records live is a :class:`CacheBackend`:
-
-* :class:`DirectoryBackend` (the default) keeps the original layout — one
-  file at ``<root>/<hh>/<hash>.json`` with ``hh`` the first two hex digits
-  (a fan-out shard so huge sweeps don't create million-entry directories),
-  written atomically (tempfile + ``os.replace``) so a crashed or killed
-  worker can never leave a half-written record that later poisons a sweep.
-* :class:`SQLiteBackend` keeps them in one WAL-mode ``cache.db`` — safe
-  under concurrent writers (the distributed coordinator's many handler
-  threads), with ``entries()``/``clean()`` served by indexed queries
-  instead of directory scans, and a ``VACUUM`` after large deletes so a
-  purged cache actually returns its disk.
+:class:`ResultCache` keeps one file per record at
+``<root>/<hh>/<hash>.json``, ``hh`` being the first two hex digits (a
+fan-out shard so huge sweeps don't create million-entry directories). Each
+file is written atomically (tempfile + ``os.replace``), so concurrent
+writers — a sweep's worker threads, the distributed coordinator's handler
+threads — and a crashed or killed worker can never leave a half-written
+record that later poisons a sweep. A record holding a non-finite number is
+refused, so a NaN or infinite metric recomputes instead of replaying.
 
 The sibling :class:`BlobStore` protocol is the same idea for the Hessian
 disk tier's binary blobs (:class:`repro.methods.resources.HessianStore`),
 plus a *claim* primitive — a fleet-wide advisory lock with a staleness TTL
 that lets concurrent workers coalesce on one O(n·d²) Hessian build / O(d³)
 factorization instead of each paying it. :func:`make_blob_store` resolves a
-target string to a backend: a plain path (directory layout), ``sqlite://``
-(blob table in WAL-mode SQLite), or ``http(s)://`` (the distributed
-coordinator's blob relay, so a fleet without shared disk still shares one
-tier).
+target to a store: a plain path (:class:`DirectoryBlobStore`) or an
+``http(s)://`` URL (the distributed coordinator's blob relay, so a fleet
+without shared disk still shares one tier).
 
-Unreadable records and blobs are treated as misses and overwritten, on
-every backend.
+Unreadable records and blobs are treated as misses and overwritten.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import tempfile
 import threading
 import time
@@ -48,28 +41,13 @@ from typing import Any, Dict, Iterator, Optional, Protocol, Union, runtime_check
 from ..obs.metrics import METRICS
 
 __all__ = [
-    "BACKEND_ENV",
     "BlobStore",
-    "CacheBackend",
-    "DirectoryBackend",
     "DirectoryBlobStore",
     "ResultCache",
-    "SQLiteBackend",
-    "SQLiteBlobStore",
     "make_blob_store",
-    "make_cache_backend",
 ]
 
 _SCHEMA = 1
-
-#: Environment variable selecting the record-store backend (``dir``/``sqlite``).
-#: The scheduler, the CLI, and the serve daemon all build their
-#: :class:`ResultCache` without an explicit backend, so one exported variable
-#: switches the whole stack.
-BACKEND_ENV = "REPRO_CACHE_BACKEND"
-
-#: Row-delete count past which the SQLite backends VACUUM after a clean.
-_VACUUM_THRESHOLD = 64
 
 
 def _check_hash(job_hash: str) -> str:
@@ -78,47 +56,156 @@ def _check_hash(job_hash: str) -> str:
     return job_hash
 
 
-def _valid_record(record: Any) -> bool:
-    return isinstance(record, dict) and record.get("schema") == _SCHEMA
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a sibling tempfile + ``os.replace``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 # --------------------------------------------------------------------------
-# protocols
+# result records
 # --------------------------------------------------------------------------
 
 
-@runtime_checkable
-class CacheBackend(Protocol):
-    """Storage for JSON result records, keyed by content hash.
+class ResultCache:
+    """Dictionary-flavored view of the result store, keyed by job hash.
 
-    Implementations own durability and layout only; identity (hashing),
-    schema stamping, and hit/miss accounting stay in :class:`ResultCache`.
+    Lookup traffic is counted per instance (``hits``/``misses``/``puts``)
+    and published to the process-wide :data:`repro.obs.metrics.METRICS`
+    registry under ``result_cache.*``. Maintenance scans (``entries`` /
+    ``clean`` / ``stats``) deliberately don't count — only actual lookups do.
     """
 
-    name: str
+    def __init__(self, root: Union[str, os.PathLike]):
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        # One instance serves every worker thread of a sweep; the counters
+        # are the only mutable state (record writes are atomic on their own).
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self.puts = 0
 
-    def read(self, job_hash: str) -> Optional[Dict[str, Any]]:
-        """The stored record, or ``None`` on miss/corruption/schema skew."""
-        ...
+    def hessian_tier_target(self) -> str:
+        """The Hessian disk tier beside the records — what the scheduler
+        exports as ``REPRO_HESSIAN_DIR`` and ``repro-sweep clean`` purges."""
+        return str(self.root / "hessians")
 
-    def write(self, job_hash: str, record: Dict[str, Any]) -> None:
-        """Durably persist ``record`` (atomic per record)."""
-        ...
+    def path_for(self, job_hash: str) -> Path:
+        """The record's file (also the hash validator: malformed hashes
+        raise)."""
+        _check_hash(job_hash)
+        return self.root / job_hash[:2] / f"{job_hash}.json"
 
-    def remove(self, job_hash: str) -> bool:
-        ...
+    @staticmethod
+    def _load(path: Path) -> Optional[Dict[str, Any]]:
+        try:
+            with open(path, encoding="utf-8") as f:
+                record = json.load(f)
+        except (OSError, ValueError):  # missing, unreadable, or not JSON
+            return None
+        if isinstance(record, dict) and record.get("schema") == _SCHEMA:
+            return record
+        return None
+
+    # ------------------------------------------------------------------ reads
+    def get(self, job_hash: str) -> Optional[Dict[str, Any]]:
+        """The stored record, or ``None`` on miss/corruption."""
+        record = self._load(self.path_for(job_hash))
+        if record is None:
+            with self._lock:
+                self.misses += 1
+            METRICS.incr("result_cache.misses")
+        else:
+            with self._lock:
+                self.hits += 1
+            METRICS.incr("result_cache.hits")
+        return record
+
+    def __contains__(self, job_hash: str) -> bool:
+        return self.get(job_hash) is not None
 
     def entries(self) -> Iterator[Dict[str, Any]]:
         """All readable records, in stable (hash-sorted) order."""
-        ...
+        for path in sorted(self.root.glob("??/*.json")):
+            record = self._load(path)
+            if record is not None:
+                yield record
+
+    # ----------------------------------------------------------------- writes
+    def put(self, job_hash: str, record: Dict[str, Any]) -> Optional[Path]:
+        """Atomically persist ``record`` under ``job_hash``; returns its file.
+
+        A record holding a NaN or infinite number is refused: nothing is
+        written, ``result_cache.refused`` is counted, ``None`` is returned,
+        and the job recomputes on the next sweep."""
+        path = self.path_for(job_hash)
+        record = dict(record)
+        record.setdefault("schema", _SCHEMA)
+        record.setdefault("hash", job_hash)
+        record.setdefault("created_at", time.time())
+        try:
+            # One `dumps` call runs the C encoder; `dump` streams through the
+            # pure-Python one. The bytes are the same.
+            text = json.dumps(record, sort_keys=True, allow_nan=False)
+        except ValueError:
+            METRICS.incr("result_cache.refused")
+            return None
+        with self._lock:
+            self.puts += 1
+        METRICS.incr("result_cache.puts")
+        _write_atomic(path, text.encode("utf-8"))
+        return path
+
+    # ------------------------------------------------------------ maintenance
+    def remove(self, job_hash: str) -> bool:
+        try:
+            self.path_for(job_hash).unlink()
+            return True
+        except FileNotFoundError:
+            return False
 
     def clean(self, older_than: Optional[float] = None) -> int:
-        """Delete records (all, or only ones older than ``older_than``
-        seconds); returns how many were removed."""
-        ...
+        """Delete cached results; with ``older_than`` (seconds), only stale
+        ones. Returns the number of records removed."""
+        removed = 0
+        now = time.time()
+        for path in list(self.root.glob("??/*.json")):
+            if older_than is not None:
+                record = self._load(path)
+                age = now - float((record or {}).get("created_at", 0.0))
+                if record is not None and age < older_than:
+                    continue
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
+        return removed
 
     def stats(self) -> Dict[str, Any]:
-        ...
+        """Entry count and on-disk footprint."""
+        paths = list(self.root.glob("??/*.json"))
+        return {
+            "root": str(self.root),
+            "entries": len(paths),
+            "bytes": sum(p.stat().st_size for p in paths),
+        }
+
+
+# --------------------------------------------------------------------------
+# Hessian-tier blobs
+# --------------------------------------------------------------------------
 
 
 @runtime_checkable
@@ -149,101 +236,13 @@ class BlobStore(Protocol):
         ...
 
 
-# --------------------------------------------------------------------------
-# directory backends (the original layout, behavior-identical)
-# --------------------------------------------------------------------------
-
-
-class DirectoryBackend:
-    """One JSON file per record at ``<root>/<hh>/<hash>.json``."""
-
-    name = "dir"
-
-    def __init__(self, root: Union[str, os.PathLike]):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def path_for(self, job_hash: str) -> Path:
-        _check_hash(job_hash)
-        return self.root / job_hash[:2] / f"{job_hash}.json"
-
-    def read(self, job_hash: str) -> Optional[Dict[str, Any]]:
-        return self._load(self.path_for(job_hash))
-
-    @staticmethod
-    def _load(path: Path) -> Optional[Dict[str, Any]]:
-        try:
-            with open(path, encoding="utf-8") as f:
-                record = json.load(f)
-        except (FileNotFoundError, json.JSONDecodeError, OSError):
-            return None
-        return record if _valid_record(record) else None
-
-    def write(self, job_hash: str, record: Dict[str, Any]) -> None:
-        path = self.path_for(job_hash)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                # One `dumps` call runs the C encoder; `dump` streams through
-                # the pure-Python one. The bytes are the same.
-                f.write(json.dumps(record, sort_keys=True))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def remove(self, job_hash: str) -> bool:
-        try:
-            self.path_for(job_hash).unlink()
-            return True
-        except FileNotFoundError:
-            return False
-
-    def entries(self) -> Iterator[Dict[str, Any]]:
-        for path in sorted(self.root.glob("??/*.json")):
-            record = self._load(path)
-            if record is not None:
-                yield record
-
-    def clean(self, older_than: Optional[float] = None) -> int:
-        removed = 0
-        now = time.time()
-        for path in list(self.root.glob("??/*.json")):
-            if older_than is not None:
-                record = self._load(path)
-                age = now - float((record or {}).get("created_at", 0.0))
-                if record is not None and age < older_than:
-                    continue
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def stats(self) -> Dict[str, Any]:
-        paths = list(self.root.glob("??/*.json"))
-        return {
-            "root": str(self.root),
-            "backend": self.name,
-            "entries": len(paths),
-            "bytes": sum(p.stat().st_size for p in paths),
-        }
-
-
 class DirectoryBlobStore:
     """Content-addressed binary blobs at ``<root>/<hh>/<key><suffix>``.
 
-    The Hessian tier's original layout: ``.npz`` blobs, with pre-factor-tier
-    ``.npy`` legacy blobs still readable. Claims are ``O_EXCL`` lock files
-    under ``<root>/.claims/``; staleness is the lock file's mtime.
+    The Hessian tier's layout: ``.npz`` blobs, with pre-factor-tier ``.npy``
+    legacy blobs still readable. Claims are ``O_EXCL`` lock files under
+    ``<root>/.claims/``; staleness is the lock file's mtime.
     """
-
-    name = "dir"
 
     def __init__(
         self,
@@ -262,25 +261,13 @@ class DirectoryBlobStore:
         for suffix in (self.suffix, *self.legacy_suffixes):
             try:
                 return self._path(key, suffix).read_bytes()
-            except (FileNotFoundError, OSError):
+            except OSError:
                 continue
         return None
 
     def put(self, key: str, data: bytes) -> None:
-        path = self._path(key)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as f:
-                    f.write(data)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            _write_atomic(self._path(key), data)
         except OSError:
             pass  # a read-only or full disk never fails the sweep
 
@@ -353,345 +340,21 @@ class DirectoryBlobStore:
         return removed
 
 
-# --------------------------------------------------------------------------
-# SQLite backends (WAL mode, concurrent writers, indexed maintenance)
-# --------------------------------------------------------------------------
-
-
-class _SQLiteBase:
-    """Shared connection plumbing: one WAL-mode connection per thread.
-
-    ``sqlite3`` connections aren't thread-shareable; a thread-local one per
-    handler/worker thread plus WAL journaling gives concurrent readers and
-    a single uncontended writer at a time (writers queue on the database
-    lock with a busy timeout instead of failing).
-    """
-
-    _DDL: str = ""
-
-    def __init__(self, path: Union[str, os.PathLike]):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._local = threading.local()
-
-    def _conn(self) -> sqlite3.Connection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = sqlite3.connect(str(self.path), timeout=30.0)
-            conn.isolation_level = None  # autocommit; VACUUM needs it
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.executescript(self._DDL)
-            self._local.conn = conn
-        return conn
-
-    def _maybe_vacuum(self, removed: int) -> None:
-        if removed >= _VACUUM_THRESHOLD:
-            self._conn().execute("VACUUM")
-            METRICS.incr("cache.backend.vacuums")
-
-    def _file_bytes(self) -> int:
-        total = 0
-        for suffix in ("", "-wal", "-shm"):
-            try:
-                total += os.stat(f"{self.path}{suffix}").st_size
-            except OSError:
-                pass
-        return total
-
-
-class SQLiteBackend(_SQLiteBase):
-    """Result records in one ``cache.db`` table, indexed by age."""
-
-    name = "sqlite"
-    FILENAME = "cache.db"
-
-    _DDL = """
-    CREATE TABLE IF NOT EXISTS records (
-        hash TEXT PRIMARY KEY,
-        created_at REAL NOT NULL,
-        record TEXT NOT NULL
-    );
-    CREATE INDEX IF NOT EXISTS idx_records_created ON records(created_at);
-    """
-
-    def __init__(self, root: Union[str, os.PathLike]):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        super().__init__(self.root / self.FILENAME)
-
-    def read(self, job_hash: str) -> Optional[Dict[str, Any]]:
-        _check_hash(job_hash)
-        row = self._conn().execute(
-            "SELECT record FROM records WHERE hash = ?", (job_hash,)
-        ).fetchone()
-        if row is None:
-            return None
-        try:
-            record = json.loads(row[0])
-        except json.JSONDecodeError:
-            return None
-        return record if _valid_record(record) else None
-
-    def write(self, job_hash: str, record: Dict[str, Any]) -> None:
-        _check_hash(job_hash)
-        self._conn().execute(
-            "INSERT OR REPLACE INTO records(hash, created_at, record) VALUES (?, ?, ?)",
-            (
-                job_hash,
-                float(record.get("created_at", 0.0)),
-                json.dumps(record, sort_keys=True),
-            ),
-        )
-
-    def remove(self, job_hash: str) -> bool:
-        _check_hash(job_hash)
-        cur = self._conn().execute("DELETE FROM records WHERE hash = ?", (job_hash,))
-        return bool(cur.rowcount)
-
-    def entries(self) -> Iterator[Dict[str, Any]]:
-        for (raw,) in self._conn().execute(
-            "SELECT record FROM records ORDER BY hash"
-        ):
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError:
-                continue
-            if _valid_record(record):
-                yield record
-
-    def clean(self, older_than: Optional[float] = None) -> int:
-        conn = self._conn()
-        if older_than is None:
-            cur = conn.execute("DELETE FROM records")
-        else:
-            # The indexed query `repro-sweep clean` runs — no record parse,
-            # no directory scan, just the created_at index.
-            cutoff = time.time() - older_than
-            cur = conn.execute(
-                "DELETE FROM records WHERE created_at <= ?", (cutoff,)
-            )
-        removed = cur.rowcount
-        self._maybe_vacuum(removed)
-        return removed
-
-    def stats(self) -> Dict[str, Any]:
-        (entries,) = self._conn().execute("SELECT COUNT(*) FROM records").fetchone()
-        return {
-            "root": str(self.root),
-            "backend": self.name,
-            "entries": int(entries),
-            "bytes": self._file_bytes(),
-        }
-
-
-class SQLiteBlobStore(_SQLiteBase):
-    """Hessian-tier blobs + claims in one WAL-mode database file."""
-
-    name = "sqlite"
-
-    _DDL = """
-    CREATE TABLE IF NOT EXISTS blobs (
-        key TEXT PRIMARY KEY,
-        created_at REAL NOT NULL,
-        data BLOB NOT NULL
-    );
-    CREATE INDEX IF NOT EXISTS idx_blobs_created ON blobs(created_at);
-    CREATE TABLE IF NOT EXISTS claims (
-        key TEXT PRIMARY KEY,
-        created_at REAL NOT NULL
-    );
-    """
-
-    def get(self, key: str) -> Optional[bytes]:
-        row = self._conn().execute(
-            "SELECT data FROM blobs WHERE key = ?", (key,)
-        ).fetchone()
-        return bytes(row[0]) if row is not None else None
-
-    def put(self, key: str, data: bytes) -> None:
-        self._conn().execute(
-            "INSERT OR REPLACE INTO blobs(key, created_at, data) VALUES (?, ?, ?)",
-            (key, time.time(), sqlite3.Binary(data)),
-        )
-
-    def claim(self, key: str, ttl: float = 60.0) -> bool:
-        conn = self._conn()
-        now = time.time()
-        cur = conn.execute(
-            "INSERT OR IGNORE INTO claims(key, created_at) VALUES (?, ?)",
-            (key, now),
-        )
-        if cur.rowcount:
-            return True
-        cur = conn.execute(
-            "UPDATE claims SET created_at = ? WHERE key = ? AND created_at <= ?",
-            (now, key, now - ttl),
-        )
-        if cur.rowcount:
-            METRICS.incr("cache.backend.claims_broken")
-            return True
-        return False
-
-    def release(self, key: str) -> None:
-        self._conn().execute("DELETE FROM claims WHERE key = ?", (key,))
-
-    def clean(self, older_than: Optional[float] = None) -> int:
-        conn = self._conn()
-        if older_than is None:
-            cur = conn.execute("DELETE FROM blobs")
-            conn.execute("DELETE FROM claims")
-        else:
-            cutoff = time.time() - older_than
-            cur = conn.execute("DELETE FROM blobs WHERE created_at <= ?", (cutoff,))
-            conn.execute("DELETE FROM claims WHERE created_at <= ?", (cutoff,))
-        removed = cur.rowcount
-        self._maybe_vacuum(removed)
-        return removed
-
-
-# --------------------------------------------------------------------------
-# factories
-# --------------------------------------------------------------------------
-
-
-def make_cache_backend(name: str, root: Union[str, os.PathLike]) -> CacheBackend:
-    """A record-store backend by name (``dir``/``directory`` or ``sqlite``)."""
-    normalized = (name or "dir").strip().lower()
-    if normalized in ("dir", "directory", "fs"):
-        return DirectoryBackend(root)
-    if normalized == "sqlite":
-        return SQLiteBackend(root)
-    raise ValueError(
-        f"unknown cache backend {name!r}; known: dir, sqlite"
-    )
-
-
 def make_blob_store(target: Union[str, os.PathLike, BlobStore]) -> BlobStore:
-    """A blob store from a target: a :class:`BlobStore` passes through; a
-    ``sqlite://<path>`` URL opens a blob table; an ``http(s)://`` URL talks
-    to a distributed coordinator's blob relay; anything else is a directory
-    root in the original tier layout."""
+    """A blob store from a target: a :class:`BlobStore` passes through; an
+    ``http(s)://`` URL talks to a distributed coordinator's blob relay; any
+    other ``scheme://`` target raises ``ValueError``; anything else is a
+    directory root."""
     if isinstance(target, BlobStore) and not isinstance(target, (str, os.PathLike)):
         return target
     spec = str(target)
-    if spec.startswith("sqlite://"):
-        return SQLiteBlobStore(spec[len("sqlite://"):])
     if spec.startswith(("http://", "https://")):
         from ..dist.client import HttpBlobStore  # local import: dist is optional
 
         return HttpBlobStore(spec)
+    if "://" in spec:
+        raise ValueError(
+            f"unsupported Hessian-tier target {spec!r}: use a directory path "
+            "or an http(s):// coordinator URL"
+        )
     return DirectoryBlobStore(spec)
-
-
-# --------------------------------------------------------------------------
-# the cache frontend
-# --------------------------------------------------------------------------
-
-
-class ResultCache:
-    """Dictionary-flavored view of the result store, keyed by job hash.
-
-    Identity, schema stamping, and traffic accounting live here; storage is
-    the injected :class:`CacheBackend` (default: resolved from the
-    ``REPRO_CACHE_BACKEND`` environment variable, falling back to ``sqlite``
-    when the root already holds a ``cache.db`` and the original directory
-    layout otherwise — an existing cache keeps working either way).
-
-    Lookup traffic is counted per instance (``hits``/``misses``/``puts``)
-    and published to the process-wide :data:`repro.obs.metrics.METRICS`
-    registry under ``result_cache.*``. Maintenance scans (``entries`` /
-    ``clean`` / ``stats``) deliberately don't count — only actual lookups do.
-    """
-
-    def __init__(
-        self,
-        root: Union[str, os.PathLike],
-        backend: Union[str, CacheBackend, None] = None,
-    ):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        if backend is None or (isinstance(backend, str) and backend in ("", "auto")):
-            env = os.environ.get(BACKEND_ENV, "").strip()
-            backend = env or (
-                "sqlite"
-                if (self.root / SQLiteBackend.FILENAME).exists()
-                else "dir"
-            )
-        if isinstance(backend, str):
-            backend = make_cache_backend(backend, self.root)
-        self.backend: CacheBackend = backend
-        # One instance serves every worker thread of a sweep; the counters
-        # are the only mutable state (backend writes are atomic on their own).
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
-
-    @property
-    def backend_name(self) -> str:
-        return getattr(self.backend, "name", type(self.backend).__name__)
-
-    def hessian_tier_target(self) -> str:
-        """The disk-tier target string matching this cache's backend — what
-        the scheduler exports as ``REPRO_HESSIAN_DIR`` so the Hessian store
-        rides the same storage the result records do."""
-        if self.backend_name == "sqlite":
-            return f"sqlite://{self.root / 'hessians.db'}"
-        return str(self.root / "hessians")
-
-    # ------------------------------------------------------------- addressing
-    def path_for(self, job_hash: str) -> Path:
-        """The record's address in the canonical directory layout (also the
-        hash validator — malformed hashes raise regardless of backend)."""
-        _check_hash(job_hash)
-        return self.root / job_hash[:2] / f"{job_hash}.json"
-
-    # ------------------------------------------------------------------ reads
-    def get(self, job_hash: str) -> Optional[Dict[str, Any]]:
-        """The stored record, or ``None`` on miss/corruption."""
-        record = self.backend.read(job_hash)
-        if record is None:
-            with self._lock:
-                self.misses += 1
-            METRICS.incr("result_cache.misses")
-        else:
-            with self._lock:
-                self.hits += 1
-            METRICS.incr("result_cache.hits")
-        return record
-
-    def __contains__(self, job_hash: str) -> bool:
-        return self.get(job_hash) is not None
-
-    def entries(self) -> Iterator[Dict[str, Any]]:
-        """All readable records, in stable (hash-sorted) order."""
-        return self.backend.entries()
-
-    # ----------------------------------------------------------------- writes
-    def put(self, job_hash: str, record: Dict[str, Any]) -> Path:
-        """Atomically persist ``record`` under ``job_hash``; returns its
-        canonical (directory-layout) address."""
-        with self._lock:
-            self.puts += 1
-        METRICS.incr("result_cache.puts")
-        path = self.path_for(job_hash)
-        record = dict(record)
-        record.setdefault("schema", _SCHEMA)
-        record.setdefault("hash", job_hash)
-        record.setdefault("created_at", time.time())
-        self.backend.write(job_hash, record)
-        return path
-
-    # ------------------------------------------------------------ maintenance
-    def remove(self, job_hash: str) -> bool:
-        return self.backend.remove(job_hash)
-
-    def clean(self, older_than: Optional[float] = None) -> int:
-        """Delete cached results; with ``older_than`` (seconds), only stale
-        ones. Returns the number of records removed."""
-        return self.backend.clean(older_than)
-
-    def stats(self) -> Dict[str, Any]:
-        """Entry count and on-disk footprint."""
-        return self.backend.stats()

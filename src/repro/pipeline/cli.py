@@ -45,10 +45,10 @@ import os
 import sys
 from typing import List, Optional
 
-from .cache import BACKEND_ENV, ResultCache
+from .cache import ResultCache
 from .executor import EXECUTORS, default_workers
 from .runner import run_sweep
-from .spec import CALIBRATION_MODES, JOB_KINDS, SweepSpec, known_methods
+from .spec import CALIBRATION_MODES, JOB_KINDS, SweepSpec
 
 __all__ = ["main", "build_parser"]
 
@@ -179,24 +179,6 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eval-seq-len", type=int, default=32)
 
 
-def _add_cache_backend_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--cache-backend", default=None, choices=["auto", "dir", "sqlite"],
-        help="result-cache storage backend: 'dir' (one JSON file per "
-             "result, the default layout), 'sqlite' (indexed single-file "
-             "store; faster clean/entries, safe concurrent writers), or "
-             "'auto' (detect from the cache directory / "
-             f"{BACKEND_ENV} env)",
-    )
-
-
-def _apply_cache_backend(args: argparse.Namespace) -> None:
-    """Export the chosen backend so every ResultCache this process (and its
-    pool workers) builds against the cache directory agrees on it."""
-    if getattr(args, "cache_backend", None):
-        os.environ[BACKEND_ENV] = args.cache_backend
-
-
 def _add_server_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--server",
@@ -218,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_grid_args(sweep)
     sweep.add_argument("--cache-dir", default=DEFAULT_CACHE)
-    _add_cache_backend_arg(sweep)
     sweep.add_argument("--no-cache", action="store_true")
     sweep.add_argument(
         "--executor", default="auto", choices=["auto"] + sorted(EXECUTORS)
@@ -271,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     show = sub.add_parser("show", help="summarize the result cache")
     show.add_argument("--cache-dir", default=DEFAULT_CACHE)
-    _add_cache_backend_arg(show)
     show.add_argument("--limit", type=int, default=20)
 
     report = sub.add_parser(
@@ -301,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     clean = sub.add_parser("clean", help="delete cached results")
     clean.add_argument("--cache-dir", default=DEFAULT_CACHE)
-    _add_cache_backend_arg(clean)
     clean.add_argument(
         "--older-than", type=float, default=None, metavar="SECONDS",
         help="only remove entries older than this many seconds",
@@ -719,7 +698,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    _apply_cache_backend(args)
     if args.coordinator:
         from ..dist.remote import DIST_URL_ENV
 
@@ -773,10 +751,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    _apply_cache_backend(args)
     cache = ResultCache(args.cache_dir)
     stats = cache.stats()
-    print(f"cache {stats['root']} [{cache.backend_name}]: "
+    print(f"cache {stats['root']}: "
           f"{stats['entries']} results, {stats['bytes']} bytes")
     for i, record in enumerate(cache.entries()):
         if i >= args.limit:
@@ -848,19 +825,14 @@ def _cmd_clean(args: argparse.Namespace) -> int:
 
     from ..obs import RunLedger
 
-    _apply_cache_backend(args)
     cache = ResultCache(args.cache_dir)
     removed = cache.clean(older_than=older_than)
     # The Hessian blob tier lives beside the records, under the same policy.
-    # hessian_tier_target() routes to the matching layout — the blob
-    # directory for the dir backend, the indexed hessians.db for sqlite —
-    # so an age-based purge is one indexed query there, not a tree walk.
     blobs = HessianStore.clean_disk(cache.hessian_tier_target(), older_than=older_than)
     # The run ledger ages out under the same policy too — otherwise
     # runs.jsonl grows without bound while the results it indexes vanish.
     ledger_removed = RunLedger(cache.root / "runs").compact(older_than=older_than)
-    print(f"removed {removed} cached results from {cache.root} "
-          f"[{cache.backend_name}]"
+    print(f"removed {removed} cached results from {cache.root}"
           + (f" and {blobs} hessian blobs" if blobs else "")
           + (f"; compacted {ledger_removed} ledger records" if ledger_removed
              else ""))

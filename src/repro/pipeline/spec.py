@@ -47,8 +47,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "CALIBRATION_MODES",

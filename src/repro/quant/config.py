@@ -6,7 +6,7 @@ the ablation benches can toggle them independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 __all__ = ["MicroScopiQConfig"]
 

@@ -76,6 +76,34 @@ TOKEN_ENV = "REPRO_SERVE_TOKEN"
 
 _LOOPBACK_HOSTS = ("127.0.0.1", "localhost", "::1")
 
+
+def _authorized(handler: BaseHTTPRequestHandler) -> bool:
+    """Bearer-token gate for mutating requests, on the sweep service and the
+    ``repro-dist`` coordinator alike.
+
+    No configured ``handler.server.token`` → everything is allowed
+    (loopback-only mode). With a token, the ``Authorization: Bearer <token>``
+    header must match (constant-time compare over UTF-8 bytes, so a
+    non-ASCII credential is refused like any other wrong one); failures get
+    a 401 through ``handler._error`` and are counted so an exposed server's
+    probe traffic shows up on ``/metrics``.
+    """
+    expected = handler.server.token
+    if not expected:
+        return True
+    supplied = handler.headers.get("Authorization") or ""
+    scheme, _, credential = supplied.partition(" ")
+    if scheme.lower() == "bearer" and hmac.compare_digest(
+        credential.strip().encode(), expected.encode()
+    ):
+        return True
+    METRICS.incr("serve.auth.rejected")
+    handler._error(401, "missing or invalid bearer token "
+                        f"(set the {TOKEN_ENV} token in an "
+                        "'Authorization: Bearer <token>' header)")
+    return False
+
+
 _SWEEP_FIELDS = set(SweepSpec.__dataclass_fields__)
 _SPEC_FIELDS = set(ExperimentSpec.__dataclass_fields__)
 _PAIR_FIELDS = ("quant_kwargs", "hw_kwargs", "eval_kwargs")
@@ -375,36 +403,13 @@ class _Handler(BaseHTTPRequestHandler):
             handle.unsubscribe(live)
             self.close_connection = True
 
-    def _authorized(self) -> bool:
-        """Bearer-token gate for mutating endpoints.
-
-        No configured token → everything is allowed (loopback-only mode).
-        With a token, the ``Authorization: Bearer <token>`` header must match
-        (constant-time compare); failures get a 401 and are counted so an
-        exposed daemon's probe traffic shows up on ``/metrics``.
-        """
-        expected = self.server.token
-        if expected is None:
-            return True
-        supplied = self.headers.get("Authorization") or ""
-        scheme, _, credential = supplied.partition(" ")
-        if scheme.lower() == "bearer" and hmac.compare_digest(
-            credential.strip().encode(), expected.encode()
-        ):
-            return True
-        METRICS.incr("serve.auth.rejected")
-        self._error(401, "missing or invalid bearer token "
-                         f"(set the {TOKEN_ENV} token in an "
-                         "'Authorization: Bearer <token>' header)")
-        return False
-
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         try:
             url = urlparse(self.path)
             self._query = parse_qs(url.query)
             parts = [p for p in url.path.split("/") if p]
             self._path_parts = parts
-            if not self._authorized():
+            if not _authorized(self):
                 return None
             if parts == ["api", "sweeps"]:
                 return self._submit()

@@ -1,6 +1,5 @@
 """Tests for the multi-precision PE (Eq. 5 multiplier tree)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -27,7 +27,6 @@ from repro.hw import (
     simulate_layers,
     sram_area_mm2,
     systolic,
-    total_accelerator_area,
 )
 
 # The cycle-simulated designs; the full registry also holds the ``gpu-*``

@@ -305,9 +305,12 @@ class TestCoordinatorHTTP:
     def test_mutations_require_token(self):
         srv, _ = start_in_thread(port=0, cache_dir=None, token="sekrit")
         try:
-            with pytest.raises(ServeError) as err:
-                CoordinatorClient(srv.url, token=None).pull("w1")
-            assert err.value.status == 401
+            before = METRICS.snapshot()
+            for wrong in (None, "été"):
+                with pytest.raises(ServeError) as err:
+                    CoordinatorClient(srv.url, token=wrong).pull("w1")
+                assert err.value.status == 401
+            assert METRICS.delta(before).get("serve.auth.rejected") == 2
             ok = CoordinatorClient(srv.url, token="sekrit").pull("w1")
             assert ok["key"] is None  # authorized, empty queue
         finally:

@@ -15,7 +15,6 @@ from repro.methods import (
     MethodParamError,
     MethodSpec,
     MethodSubstrateError,
-    Param,
     Quantizer,
     get_method,
     known_method_names,

@@ -10,7 +10,6 @@ left in the hot paths must cost under 3% of a traced job's runtime.
 
 from __future__ import annotations
 
-import json
 import time
 import timeit
 
@@ -22,10 +21,8 @@ from repro.obs import (
     NULL_SPAN,
     MetricsRegistry,
     RunLedger,
-    Tracer,
     current_span,
     current_tracer,
-    disable_tracing,
     enable_tracing,
     merge_deltas,
     render_run,

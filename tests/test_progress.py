@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 
-from repro.pipeline.progress import ProgressTracker, default_stream
+from repro.pipeline.progress import ProgressTracker
 
 
 def _lines(stream: io.StringIO):
