@@ -13,8 +13,8 @@ named span, not just a wall-clock delta:
   layer / kernel time; ``engine.lm.gptq`` runs GPTQ W4 on the same LM,
   where the ``layer`` self time is GPTQ's column walk;
 * ``sweep`` — a small codesign sweep against a fresh cache, then the
-  identical sweep again (pure cache lookups), on the ``serial``, ``thread``
-  ×2 and ``process`` ×2 executors, each pair in a fresh interpreter: wall,
+  identical sweep again (pure cache lookups), on the ``serial`` and
+  ``process`` ×2 executors, each pair in a fresh interpreter: wall,
   job-compute and CPU seconds (this process and its reaped children);
 * ``simulate`` — accelerator-simulation throughput (``kernel:simulate``
   calls per second), cold (the ReCoN contention memo cleared before each
@@ -141,7 +141,7 @@ def bench_engine(
 
 
 #: The executors ``bench_sweep`` compares: (name, workers).
-SWEEP_EXECUTORS = (("serial", None), ("thread", 2), ("process", 2))
+SWEEP_EXECUTORS = (("serial", None), ("process", 2))
 
 
 def _cpu_seconds() -> float:

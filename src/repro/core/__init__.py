@@ -10,7 +10,7 @@ with pruning-based bit redistribution — is exposed here:
   + permutation lists) with dequantization and EBW accounting;
 * :func:`quantize_model` — whole-model PTQ over any substrate implementing
   the linear-layer protocol, scheduled by :mod:`repro.quant.engine`
-  (grouped calibration, Hessian store, parallel layer dispatch);
+  (grouped calibration, Hessian store, shape batching);
 * :class:`Substrate` / :data:`SUBSTRATES` — the protocol behind that duck
   typing and the registry of workload classes (LM / VLM / CNN / SSM) with
   their builders, calibration sets, and task metrics;
@@ -32,7 +32,6 @@ Quickstart::
     print(packed.ebw(), packed.reconstruction_error(w, x))
 """
 
-from ..eval.harness import QuantizationReport, quantize_model
 from ..methods import (
     METHODS,
     HessianBundle,
@@ -42,7 +41,12 @@ from ..methods import (
     register_method,
 )
 from ..quant.config import MicroScopiQConfig
-from ..quant.engine import HessianStore, default_hessian_store
+from ..quant.engine import (
+    HessianStore,
+    QuantizationReport,
+    default_hessian_store,
+    quantize_model,
+)
 from ..quant.microscopiq import quantize_matrix, quantize_microscopiq
 from ..quant.packed import PackedLayer
 from .substrate import (

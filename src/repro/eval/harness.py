@@ -1,9 +1,9 @@
 """The pipeline's job kernel, on top of the substrate-generic engine.
 
-``quantize_model`` is a thin compatibility wrapper over
-:func:`repro.quant.engine.quantize_model` — the engine owns calibration
-grouping, the Hessian store, and executor dispatch; any model implementing
-the :class:`~repro.core.substrate.Substrate` protocol quantizes through it.
+``quantize_model`` is :func:`repro.quant.engine.quantize_model` itself — the
+engine owns calibration grouping, the Hessian store and shape batching; any
+model implementing the :class:`~repro.core.substrate.Substrate` protocol
+quantizes through it.
 
 ``evaluate_setting`` is the self-contained experiment kernel the
 :mod:`repro.pipeline` executors dispatch: build the model of any registered
@@ -21,29 +21,9 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from ..obs.trace import trace
-from ..quant.engine import QuantizationReport, quantize_model as _engine_quantize_model
+from ..quant.engine import QuantizationReport, quantize_model
 
 __all__ = ["QuantizationReport", "evaluate_setting", "quantize_model"]
-
-
-def quantize_model(
-    model,
-    method: str,
-    w_bits: int,
-    act_bits: Optional[int] = None,
-    calib=None,
-    **kwargs,
-) -> QuantizationReport:
-    """Quantize every linear of ``model`` in place (via overrides).
-
-    Thin wrapper over :func:`repro.quant.engine.quantize_model`; engine
-    scheduling knobs (``calibration=``, ``dispatch=``, ``workers=``,
-    ``hessian_store=``, ``groups=``) pass through, everything else goes to
-    the quantizer.
-    """
-    return _engine_quantize_model(
-        model, method, w_bits, act_bits=act_bits, calib=calib, **kwargs
-    )
 
 
 _FP_METHOD = "fp16"

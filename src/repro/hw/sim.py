@@ -406,7 +406,7 @@ def run_hw_job(
 
     A pure function of its arguments (the simulator is deterministic), so
     hardware jobs are cacheable by content hash and bit-identical across
-    serial, thread, and process executors.
+    serial, process and remote executors.
     """
     arch, shape, cfg, sim_kwargs = _hw_call(substrate, arch_name, hw_kwargs)
     workload = build_workload(substrate, family, **shape)

@@ -13,8 +13,8 @@ The :class:`HessianStore` memoizes bundles by content fingerprint with two
 tiers:
 
 * an in-process LRU (thread-safe; concurrent requests for one fingerprint
-  coalesce on the bundle's own lock, so a wq/wk/wv group dispatched in
-  parallel builds its shared ``H`` once);
+  coalesce on the bundle's own lock, so concurrent ``repro-serve``
+  submissions needing one calibration build its ``H`` once);
 * an optional **content-addressed blob tier** behind the
   :class:`repro.pipeline.cache.BlobStore` protocol — a directory
   (``<root>/<hh>/<fp>.npz`` blobs, written atomically) or a distributed
@@ -399,8 +399,8 @@ class HessianStore:
     (method × bits) setting asked for it. ``bundle`` is the primary API;
     ``hessian`` keeps the legacy raw-``H`` contract. Thread-safe: the store
     lock only guards the (cheap) get-or-create, while the O(n·d²)/O(d³)
-    computation runs under the bundle's own lock, which is what coalesces a
-    thread-dispatched wq/wk/wv group onto one ``XᵀX`` build.
+    computation runs under the bundle's own lock, which is what coalesces
+    concurrent requests for one calibration onto one ``XᵀX`` build.
 
     With ``disk_root`` set — a directory path or an ``http://`` coordinator
     URL, resolved through

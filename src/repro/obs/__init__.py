@@ -27,7 +27,6 @@ from .trace import (
     Span,
     TRACE_ENV,
     Tracer,
-    current_span,
     current_tracer,
     disable_tracing,
     enable_tracing,
@@ -50,7 +49,6 @@ __all__ = [
     "Span",
     "TRACE_ENV",
     "Tracer",
-    "current_span",
     "current_tracer",
     "disable_tracing",
     "enable_tracing",

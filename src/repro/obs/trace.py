@@ -17,10 +17,12 @@ environment variable, which worker processes inherit — that is how a
 captures a detached span tree per job and ships it back on the
 :class:`~repro.pipeline.executor.JobOutcome` wire format).
 
-Threading: every thread has its own span stack (``threading.local``), so
-thread-pool executors nest correctly without locks on the hot path. Work
-dispatched *across* threads (the engine's layer pool) passes an explicit
-``parent=`` span; children append to their parent under the parent's lock.
+Threading: every thread has its own span stack (``threading.local``), so a
+span's parent is always the calling thread's innermost open span, and
+concurrent ``repro-serve`` submissions nest without locks on the hot path.
+A finished span appends itself to its parent through :meth:`Span.add_child`,
+under the parent's lock, so callers may graft serialized trees in from any
+thread.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "Span",
     "TRACE_ENV",
     "Tracer",
-    "current_span",
     "current_tracer",
     "disable_tracing",
     "enable_tracing",
@@ -88,9 +89,6 @@ class _NullSpan:
     def to_dict(self) -> None:  # a null span serializes to nothing
         return None
 
-    def __bool__(self) -> bool:
-        return False
-
 
 NULL_SPAN = _NullSpan()
 
@@ -115,7 +113,6 @@ class Span:
         name: str,
         attrs: Optional[Dict[str, Any]] = None,
         tracer: Optional[Tracer] = None,
-        parent: Optional[Span] = None,
         detached: bool = False,
     ):
         self.name = name
@@ -124,17 +121,17 @@ class Span:
         self.end: Optional[float] = None
         self.children: List[Union[Span, Dict[str, Any]]] = []
         self.tracer = tracer
-        self._parent = parent
+        self._parent: Optional[Span] = None
         self._detached = detached
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------ lifecycle
     # Lifecycle fields (start/end/_parent) are written only by the owning
-    # thread; the lock exists solely for cross-thread `children` appends.
+    # thread; the lock exists solely for `children` appends (add_child).
     def __enter__(self) -> Span:  # repro-lint: ignore[lock-unguarded-write]
         self.start = time.perf_counter()
         if self.tracer is not None:
-            if self._parent is None and not self._detached:
+            if not self._detached:
                 self._parent = self.tracer.current()
             self.tracer._push(self)
         return self
@@ -255,9 +252,9 @@ class Tracer:
             self.roots.append(span)
 
     # --------------------------------------------------------------- public
-    def span(self, name: str, parent: Optional[Span] = None, **attrs) -> Span:
-        """A new span, parented to ``parent`` (or the thread's current one)."""
-        return Span(name, attrs, tracer=self, parent=parent)
+    def span(self, name: str, **attrs) -> Span:
+        """A new span, parented to the calling thread's current one."""
+        return Span(name, attrs, tracer=self)
 
     def capture(self, name: str, **attrs) -> Span:
         """A *detached* root span: collected by the caller, never added to
@@ -282,14 +279,6 @@ def tracing_enabled() -> bool:
     return _TRACER is not None
 
 
-def current_span() -> Optional[Span]:
-    """The calling thread's innermost open span (``None`` when disabled or at
-    top level) — capture this before handing work to another thread and pass
-    it as ``parent=`` so cross-thread children attach to the right node."""
-    tracer = _TRACER
-    return tracer.current() if tracer is not None else None
-
-
 def set_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
     """Install (or, with ``None``, remove) the process tracer; returns the
     previous one so callers can restore it."""
@@ -312,18 +301,17 @@ def disable_tracing() -> None:
     set_tracer(None)
 
 
-def trace(name: str, parent: Optional[Span] = None, **attrs) -> Union[Span, _NullSpan]:
+def trace(name: str, **attrs) -> Union[Span, _NullSpan]:
     """The one instrumentation entry point: ``with trace("engine", m="gptq"):``.
 
     Returns the shared no-op span when tracing is disabled — one global read
     per call site, nothing allocated — or a live :class:`Span` parented to
-    the calling thread's current span (or the explicit ``parent=``, for work
-    handed to another thread).
+    the calling thread's current span.
     """
     tracer = _TRACER
     if tracer is None:
         return NULL_SPAN
-    return Span(name, attrs, tracer=tracer, parent=parent)
+    return Span(name, attrs, tracer=tracer)
 
 
 def traced(name_or_fn=None, **attrs):

@@ -7,7 +7,7 @@ substrate:
   grids enumerated into content-hashed :class:`Job`\\ s;
 * :mod:`~repro.pipeline.cache` — a content-addressed on-disk result store, so
   overlapping sweeps only compute what's new;
-* :mod:`~repro.pipeline.executor` — serial / thread / process execution with
+* :mod:`~repro.pipeline.executor` — serial / process / remote execution with
   per-job timing and failure capture;
 * :mod:`~repro.pipeline.runner` — :func:`run_sweep` wiring the above into a
   :class:`SweepResult` with pivot/aggregation helpers;
@@ -40,7 +40,6 @@ from .executor import (
     JobOutcome,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     default_workers,
     make_executor,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "SweepResult",
     "SweepScheduler",
     "SweepSpec",
-    "ThreadExecutor",
     "default_workers",
     "execute_job",
     "hw_stage_hash",

@@ -1,4 +1,4 @@
-"""Job executors: serial, thread-pool, and process-pool behind one interface.
+"""Job executors: serial and process-pool behind one interface.
 
 Every executor takes a picklable kernel ``fn(job) -> dict`` and a list of
 :class:`~repro.pipeline.spec.Job`\\ s and yields one :class:`JobOutcome` per
@@ -6,23 +6,25 @@ job *in completion order*. A job that raises records an error outcome (type,
 message, traceback) instead of killing the sweep — crashed cells show up in
 ``SweepResult.failures()`` rather than as a dead run.
 
-Dispatch is bounded: at most ``workers × chunk_size`` futures are in flight
-at a time (each job is still submitted individually), so huge sweeps don't
-materialize thousands of pending futures up front and progress callbacks see
-a steady completion stream instead of one burst at the end.
+The process pool bounds its dispatch: at most eight jobs per worker, and
+about half the sweep, are in flight at a time (each job is still submitted
+individually), so huge sweeps
+don't materialize thousands of pending futures up front, a cancelled sweep
+wastes little work, and progress callbacks see a steady completion stream
+instead of one burst at the end.
 
 Every job runs at one BLAS thread, whichever executor runs it: :func:`_call`
 enters :data:`ONE_BLAS_THREAD`, which sets the process's OpenBLAS pool to one
 thread while any job is in and restores the caller's size when the last one
 leaves. LAPACK's rounding depends on the thread count, so one count
-everywhere is what makes serial, thread, process and ``repro-dist`` results
+everywhere is what makes serial, process and ``repro-dist`` results
 bit-identical on any machine; at this project's matrix sizes a second BLAS
 thread buys little wall time and keeps a second core busy. A variable such
 as ``OPENBLAS_NUM_THREADS`` cannot do this: the library reads it once, when
 it loads. The process pool uses the ``fork`` start method where available (the
 kernel closes over nothing, but fork skips re-importing numpy per worker).
-Thread pools suit kernels dominated by GIL-releasing numpy ops; serial is the
-reference implementation the parallel paths are asserted bit-identical to.
+Serial is the reference implementation the parallel paths are asserted
+bit-identical to.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import os
 import threading
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -48,7 +50,7 @@ __all__ = [
     "ProcessExecutor",
     "RemoteExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
+    "check_executor",
     "default_workers",
     "make_executor",
 ]
@@ -92,8 +94,8 @@ class JobOutcome:
 def _call(fn: Callable[[Job], Dict[str, Any]], job: Job) -> JobOutcome:
     """Run one job at one BLAS thread, capturing timing and any exception
     (module-level so it pickles for the process pool)."""
-    # The executor also dispatches stage/layer tasks that merely quack like
-    # jobs (label only) — identity attrs are best-effort.
+    # The scheduler also dispatches stage tasks that merely quack like jobs
+    # (label only) — identity attrs are best-effort.
     tracer = current_tracer()
     before = METRICS.snapshot() if tracer is not None else None
     capture = NULL_SPAN
@@ -185,8 +187,8 @@ def _openblas() -> Tuple[Tuple[_Pool, ...], Optional[str]]:
 class _OneBlasThread:
     """The scope every job kernel runs in: OpenBLAS at one thread.
 
-    The pool is process-global, and jobs run concurrently (a thread pool, the
-    engine's ``dispatch="thread"``, ``repro-serve`` submissions), so a
+    The pool is process-global, and jobs can run concurrently (``repro-serve``
+    runs ``max_concurrent`` submissions on threads of one process), so a
     per-call save/restore would lose updates. Instead a depth count under a
     lock sets the pool to 1 when the first job enters and restores the
     caller's size when the last one leaves; scopes nest. A forked child
@@ -226,8 +228,9 @@ class _OneBlasThread:
                     set_(threads)
 
 
-#: The one-BLAS-thread scope (:class:`_OneBlasThread`); :func:`_call` and
-#: :func:`~repro.pipeline.runner.execute_job` enter it.
+#: The one-BLAS-thread scope (:class:`_OneBlasThread`); :func:`_call`,
+#: :func:`~repro.pipeline.runner.execute_job` and each layer kernel of
+#: :func:`~repro.quant.engine.quantize_model` enter it.
 ONE_BLAS_THREAD = _OneBlasThread()
 
 
@@ -256,14 +259,12 @@ class SerialExecutor:
 
 
 @dataclass
-class _PoolExecutor:
-    """Shared chunked-dispatch logic for thread and process pools."""
+class ProcessExecutor:
+    """A ``fork``-started process pool, at most eight jobs per worker in
+    flight (see the module docstring)."""
 
+    name = "process"
     workers: Optional[int] = None
-    chunk_size: Optional[int] = None
-
-    def _make_pool(self, n: int) -> Executor:
-        raise NotImplementedError
 
     def run(
         self, fn: Callable[[Job], Dict[str, Any]], jobs: Sequence[Job]
@@ -273,14 +274,17 @@ class _PoolExecutor:
             return
         n = self.workers or default_workers()
         n = max(1, min(n, len(jobs)))
-        chunk = self.chunk_size or max(1, min(8, len(jobs) // (2 * n) or 1))
-        with self._make_pool(n) as pool:
+        in_flight = n * max(1, min(8, len(jobs) // (2 * n) or 1))
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:
+            ctx = multiprocessing.get_context()
+        with ProcessPoolExecutor(max_workers=n, mp_context=ctx) as pool:
             pending = set()
             it = iter(jobs)
             exhausted = False
-            # Keep ~chunk jobs per worker in flight; yield as they complete.
             while pending or not exhausted:
-                while not exhausted and len(pending) < n * chunk:
+                while not exhausted and len(pending) < in_flight:
                     job = next(it, None)
                     if job is None:
                         exhausted = True
@@ -294,30 +298,10 @@ class _PoolExecutor:
 
 
 @dataclass
-class ThreadExecutor(_PoolExecutor):
-    name = "thread"
-
-    def _make_pool(self, n: int) -> Executor:
-        return ThreadPoolExecutor(max_workers=n, thread_name_prefix="repro-sweep")
-
-
-@dataclass
-class ProcessExecutor(_PoolExecutor):
-    name = "process"
-
-    def _make_pool(self, n: int) -> Executor:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            ctx = multiprocessing.get_context()
-        return ProcessPoolExecutor(max_workers=n, mp_context=ctx)
-
-
-@dataclass
 class RemoteExecutor:
     """Dispatch to a ``repro-dist`` coordinator's worker fleet.
 
-    Same contract as the pools — outcomes in completion order, bit-identical
+    Same contract as the local executors — outcomes in completion order, bit-identical
     metrics (workers derive each job's RNG seed from its hash, exactly as a
     local executor would). ``workers`` is accepted for interface symmetry but
     ignored: fleet size is however many ``repro-dist worker`` processes are
@@ -342,10 +326,20 @@ class RemoteExecutor:
 
 EXECUTORS: Dict[str, Callable[..., Any]] = {
     "serial": SerialExecutor,
-    "thread": ThreadExecutor,
     "process": ProcessExecutor,
     "remote": RemoteExecutor,
 }
+
+
+def check_executor(name: str) -> str:
+    """``name`` if it is ``"auto"`` or registered in :data:`EXECUTORS`, else a
+    ``KeyError`` naming the known ones. The scheduler checks a name where it
+    takes one, so an unknown name fails before any cache read."""
+    if name != "auto" and name not in EXECUTORS:
+        raise KeyError(
+            f"unknown executor {name!r}; known: auto, {', '.join(sorted(EXECUTORS))}"
+        )
+    return name
 
 
 def make_executor(name: str = "auto", workers: Optional[int] = None):
@@ -353,18 +347,12 @@ def make_executor(name: str = "auto", workers: Optional[int] = None):
     than one CPU is available and serial otherwise (pool overhead would only
     slow a single-CPU box down). With every job at one BLAS thread
     (:data:`ONE_BLAS_THREAD`) the process pool is the fastest where it has
-    the CPUs: on a 2-vCPU VM, cold seed-0 sweepbench grids took 3.5–4.3 s
-    on ``process`` ×2 against 6.1–6.8 s serial and 4.9–5.5 s on ``thread``
-    ×2 (``accuracy``), and 1.4–1.5 s against 2.1–2.2 s and 1.9–2.0 s
-    (``codesign``), all with bit-identical results."""
-    if name == "auto":
+    the CPUs: on a 2-vCPU VM, cold seed-0 sweepbench grids took 3.2–3.3 s
+    on ``process`` ×2 against 5.3–5.9 s serial (``accuracy``), and 1.4–1.5 s
+    against 1.6–2.1 s (``codesign``), all with bit-identical results. Cheap
+    hardware grids are the exception: ``hw-grid`` took 0.33–0.41 s on
+    ``process`` ×2 against 0.20–0.26 s serial."""
+    if check_executor(name) == "auto":
         name = "process" if (workers or default_workers()) > 1 else "serial"
-    try:
-        cls = EXECUTORS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown executor {name!r}; known: auto, {', '.join(sorted(EXECUTORS))}"
-        ) from None
-    if cls is SerialExecutor:
-        return cls()
-    return cls(workers=workers)
+    cls = EXECUTORS[name]
+    return cls() if cls is SerialExecutor else cls(workers=workers)

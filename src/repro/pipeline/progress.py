@@ -99,8 +99,8 @@ class ProgressTracker:
     _started: float = field(default_factory=time.perf_counter)
 
     def __post_init__(self) -> None:
-        # Thread/process executors call update() from worker callbacks; the
-        # counters and the emitted snapshot must move together.
+        # update() may be called from several threads; the counters and
+        # the emitted snapshot must move together.
         self._lock = threading.Lock()
         self._all_sinks: Tuple[EventSink, ...] = tuple(self.sinks)
         if self.stream is not None:

@@ -12,7 +12,7 @@ The job kernel (:func:`execute_job`) is a module-level function of the job
 alone — no closures, no shared state — so it pickles cleanly into worker
 processes and so a job's result is a pure function of its content hash.
 Its RNG is spawned from that hash (``job.spawn_seed``) and it runs at one
-BLAS thread, which is what makes serial, thread, and process sweeps
+BLAS thread, which is what makes serial, process and remote sweeps
 bit-identical.
 
 **Stages.** Inside :func:`run_sweep` every job is an ordered list of
@@ -528,7 +528,8 @@ def run_sweep(
             :class:`ExperimentSpec` steps.
         cache_dir: directory of the content-addressed result store; ``None``
             disables persistence (everything recomputes).
-        executor: ``"serial"``, ``"thread"``, ``"process"``, or ``"auto"``.
+        executor: ``"serial"``, ``"process"``, ``"remote"`` or ``"auto"``;
+            any other name raises ``KeyError`` before the cache is read.
         workers: pool width (defaults to the usable CPU count).
         progress: print a live ticker to stderr.
         recompute: ignore cached entries (but still refresh them on disk).

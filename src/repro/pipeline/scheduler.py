@@ -52,7 +52,7 @@ from ..obs.ledger import RunLedger
 from ..obs.metrics import METRICS, merge_deltas
 from ..obs.trace import NULL_SPAN, current_tracer
 from .cache import ResultCache
-from .executor import JobOutcome, _call, blas_info, make_executor
+from .executor import JobOutcome, _call, blas_info, check_executor, make_executor
 from .progress import ProgressTracker, default_stream
 from .runner import (
     SweepResult,
@@ -447,7 +447,7 @@ class SweepScheduler:
         if max_concurrent < 1:
             raise ValueError(f"max_concurrent must be >= 1, got {max_concurrent}")
         self.cache_dir = cache_dir
-        self.executor = executor
+        self.executor = check_executor(executor)
         self.workers = workers
         self.max_concurrent = max_concurrent
         self._inflight = _InflightBook()
@@ -476,7 +476,7 @@ class SweepScheduler:
         jobs = sweep.jobs()  # spec-build errors surface here, pre-queue
         options = {
             "label": str(label),
-            "executor": executor if executor is not None else self.executor,
+            "executor": self.executor if executor is None else check_executor(executor),
             "workers": workers if workers is not None else self.workers,
             "recompute": bool(recompute),
             "kernel": kernel,

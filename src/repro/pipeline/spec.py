@@ -373,7 +373,7 @@ class Job:
     def spawn_seed(self) -> int:
         """Deterministic per-job RNG seed, spawned from the job hash.
 
-        Serial, threaded, and process-pool executors all hand the job kernel
+        Serial, process-pool and remote executors all hand the job kernel
         the same seed, so any stochastic step inside a job draws an identical
         stream regardless of scheduling — bit-identical sweeps.
         """

@@ -1,4 +1,4 @@
-"""Model-level quantization engine: Hessian store + grouped layer dispatch.
+"""Model-level quantization engine: Hessian store + grouped calibration.
 
 :func:`quantize_model` schedules whole-model PTQ over any model implementing
 the :class:`~repro.core.substrate.Substrate` protocol, driving any method
@@ -26,10 +26,14 @@ lifecycle. It improves on the naive per-layer walk in three ways:
   factors compute once per calibration rather than once per setting, and
   the store's optional disk tier extends the sharing to worker *processes*.
 
-* **Executor dispatch.** Group members are independent, so they are
-  dispatched through the :mod:`repro.pipeline.executor` interface
-  (``dispatch="thread"``) and installed back in forward order — scheduling
-  never changes results.
+* **Shape batching.** Same-shape members of a group that share their
+  calibration inputs are row-stacked into one kernel call for methods whose
+  spec declares ``row_batchable``, and split back per layer — bit-identical
+  to quantizing them one by one.
+
+Layers quantize in forward order on the calling thread, each inside
+:data:`repro.pipeline.executor.ONE_BLAS_THREAD`, so a direct call gives the
+same bits as a sweep job whatever the caller's OpenBLAS pool.
 
 Per-method knowledge lives on the :class:`~repro.methods.MethodSpec`
 (capability flags + parameter schema), not here: unknown quantizer keywords
@@ -60,7 +64,7 @@ from ..methods.resources import (
     default_hessian_store,
 )
 from ..obs.metrics import METRICS
-from ..obs.trace import Span, trace
+from ..obs.trace import trace
 from .activation import ActivationQuantizer
 
 __all__ = [
@@ -114,15 +118,11 @@ class QuantizationReport:
 
 @dataclass
 class _LayerTask:
-    """One dispatchable unit: quantize a single named layer."""
+    """One kernel call: quantize a single named layer."""
 
     name: str
     weights: np.ndarray
     acts: np.ndarray
-
-    @property
-    def label(self) -> str:  # executor progress hook compatibility
-        return self.name
 
 
 @dataclass
@@ -145,10 +145,6 @@ class _BatchTask:
     @property
     def name(self) -> str:
         return "+".join(self.names)
-
-    @property
-    def label(self) -> str:
-        return f"batch({self.name})"
 
 
 def _coalesce_tasks(tasks: List[_LayerTask]) -> List[Any]:
@@ -188,14 +184,9 @@ def _make_layer_kernel(
     base_params: Dict[str, Any],
     store: Optional[HessianStore],
     substrate: Optional[str],
-    parent_span: Optional[Span] = None,
 ):
-    """Bind a per-layer lifecycle driver for executor dispatch.
-
-    ``parent_span`` is the engine's open span: layer spans parent to it
-    explicitly because thread dispatch runs the kernel on pool threads,
-    where the tracer's thread-local stack doesn't see the engine span.
-    """
+    """Bind the per-layer method lifecycle: ``kernel(task)`` returns the
+    task's per-layer result, or a list of them for a :class:`_BatchTask`."""
     quantizer = spec.make()
     # Methods that don't accept act_bits still get their activations
     # fake-quantized by the install loop — the old engine's contract.
@@ -222,29 +213,14 @@ def _make_layer_kernel(
 
     def kernel(task):
         if isinstance(task, _BatchTask):
-            with trace(
-                "layer_batch",
-                parent=parent_span or None,
-                layers=task.name,
-                count=len(task.names),
-            ):
+            with trace("layer_batch", layers=task.name, count=len(task.names)):
                 METRICS.incr("engine.layer_batches")
                 METRICS.incr("engine.batched_layers", len(task.names))
                 return run_one(task).split_rows(task.sizes)
-        with trace("layer", parent=parent_span or None, layer=task.name):
+        with trace("layer", layer=task.name):
             return run_one(task)
 
     return kernel
-
-
-def _make_dispatcher(dispatch: str, workers: Optional[int]):
-    from ..pipeline.executor import SerialExecutor, ThreadExecutor
-
-    if dispatch == "serial":
-        return SerialExecutor()
-    if dispatch == "thread":
-        return ThreadExecutor(workers=workers)
-    raise KeyError(f"unknown dispatch {dispatch!r}; known: serial, thread")
 
 
 def quantize_model(
@@ -254,8 +230,6 @@ def quantize_model(
     act_bits: Optional[int] = None,
     calib=None,
     calibration: str = "sequential",
-    dispatch: str = "serial",
-    workers: Optional[int] = None,
     hessian_store: Optional[HessianStore] = None,
     groups: Optional[List[List[str]]] = None,
     **quantizer_kwargs,
@@ -279,9 +253,6 @@ def quantize_model(
             the progressively quantized model (GPTQ-style; the reference
             semantics); ``"parallel"`` calibrates everything once on the FP
             model (the paper's parallel-calibration ablation).
-        dispatch: ``"serial"`` or ``"thread"`` — how group members are
-            dispatched. Bit-identical either way.
-        workers: thread-pool width for ``dispatch="thread"``.
         hessian_store: Hessian memo; defaults to the process-wide store
             (whose disk tier attaches from ``REPRO_HESSIAN_DIR``).
         groups: calibration groups override; defaults to the substrate
@@ -289,7 +260,7 @@ def quantize_model(
 
     Methods whose spec declares ``row_batchable`` have same-shape layers of a
     calibration group row-stacked into one kernel invocation (weight-only
-    mode; bit-identical to separate dispatch, asserted in
+    mode; bit-identical to separate calls, asserted in
     ``tests/test_vector_kernel.py``).
     """
     if calibration not in CALIBRATION_MODES:
@@ -298,6 +269,8 @@ def quantize_model(
             f"{', '.join(CALIBRATION_MODES)}"
         )
     from ..core.substrate import calibration_groups, substrate_for_model
+    # Lazy: repro.pipeline.spec imports this module.
+    from ..pipeline.executor import ONE_BLAS_THREAD
 
     spec = method if isinstance(method, MethodSpec) else get_method(method)
     spec.validate_params(quantizer_kwargs)
@@ -327,7 +300,6 @@ def quantize_model(
             f"got {flat} vs {list(model.linear_names)}"
         )
     store = hessian_store if hessian_store is not None else default_hessian_store()
-    pool = _make_dispatcher(dispatch, workers)
     report = QuantizationReport(spec.name, w_bits, act_bits)
     METRICS.incr("engine.models")
 
@@ -346,12 +318,10 @@ def quantize_model(
         w_bits=w_bits,
         substrate=sub.name if sub is not None else "",
         calibration=calibration,
-        dispatch=dispatch,
-    ) as engine_span:
+    ):
         kernel = _make_layer_kernel(
             spec, w_bits, act_bits, quantizer_kwargs, store,
             sub.name if sub is not None else None,
-            parent_span=engine_span or None,
         )
 
         if calibration == "parallel":
@@ -393,17 +363,19 @@ def quantize_model(
             ]
             units = _coalesce_tasks(tasks) if batchable else tasks
             results: Dict[str, Any] = {}
-            for outcome in pool.run(kernel, units):
-                if not outcome.ok:
+            for unit in units:
+                try:
+                    with ONE_BLAS_THREAD:
+                        result = kernel(unit)
+                except Exception as exc:
                     raise RuntimeError(
-                        f"quantizing layer {outcome.job.name!r} failed: "
-                        f"{outcome.error['type']}: {outcome.error['message']}"
-                    )
-                if isinstance(outcome.job, _BatchTask):
-                    results.update(zip(outcome.job.names, outcome.metrics))
+                        f"quantizing layer {unit.name!r} failed: "
+                        f"{type(exc).__name__}: {exc}"
+                    ) from exc
+                if isinstance(unit, _BatchTask):
+                    results.update(zip(unit.names, result))
                 else:
-                    results[outcome.job.name] = outcome.metrics
-            # Install in forward order regardless of completion order.
+                    results[unit.name] = result
             for name in group:
                 result = results[name]
                 model.set_override(name, result.dequant)

@@ -457,19 +457,13 @@ class _Handler(BaseHTTPRequestHandler):
                     f"unknown option(s) {', '.join(unknown)}; "
                     f"known: {', '.join(sorted(_SUBMIT_OPTIONS))}"
                 )
-            executor = options.get("executor")
-            if executor is not None and executor not in ("auto", *EXECUTORS):
-                raise ValueError(
-                    f"unknown executor {executor!r}; choose from "
-                    f"auto, {', '.join(sorted(EXECUTORS))}"
-                )
             workers = options.get("workers")
             if workers is not None:
                 workers = int(workers)
             handle = self.server.scheduler.submit(
                 sweep,
                 label=str(options.get("label", "")),
-                executor=executor,
+                executor=options.get("executor"),
                 workers=workers,
                 recompute=bool(options.get("recompute", False)),
             )

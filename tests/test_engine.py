@@ -1,9 +1,9 @@
 """Tests for the model-level quantization engine (repro.quant.engine).
 
 Covers the Hessian store (content-keyed sharing within a model, across
-settings, and its LRU bound), the grouped parallel layer dispatch
-(bit-identical to the pre-refactor per-layer serial walk), the
-sequential-vs-parallel calibration ablation knob, and the benchmark guard:
+settings, and its LRU bound), the grouped layer walk (bit-identical to the
+pre-refactor per-layer serial walk, and to itself at any caller BLAS pool),
+the sequential-vs-parallel calibration ablation knob, and the benchmark guard:
 a 2-setting same-calibration sweep must be cheaper than 2× a 1-setting
 sweep because the store computes each Hessian once.
 """
@@ -12,9 +12,11 @@ import time
 
 import numpy as np
 import pytest
+from blas_oracle import openblas_num_threads
 from kernel_oracle import oracle_kernels
 
 from repro.baselines.registry import get_quantizer
+from repro.methods import MethodParamError
 from repro.models import build_model
 from repro.quant.engine import HessianStore, quantize_model
 
@@ -111,21 +113,41 @@ def _prerefactor_serial_walk(model, method, w_bits, calib):
 
 
 class TestGroupedDispatch:
-    @pytest.mark.parametrize("dispatch,workers", [("serial", None), ("thread", 4)])
-    def test_bit_identical_to_serial_walk(self, dispatch, workers):
+    def test_bit_identical_to_serial_walk(self):
         from repro.core.substrate import get_substrate
 
         sub = get_substrate("lm")
         model = sub.build("opt-6.7b")
         calib = sub.calibration(model)
         ref = _prerefactor_serial_walk(model, "microscopiq", 4, calib)
-        quantize_model(
-            model, "microscopiq", 4, calib=calib,
-            dispatch=dispatch, workers=workers, hessian_store=HessianStore(),
-        )
+        quantize_model(model, "microscopiq", 4, calib=calib, hessian_store=HessianStore())
         for name in model.linear_names:
             assert np.array_equal(model.overrides[name], ref[name]), name
         model.clear_overrides()
+
+    @pytest.mark.skipif(
+        openblas_num_threads("get") is None, reason="no OpenBLAS get-symbol in this process"
+    )
+    @pytest.mark.parametrize("method", ["gptq", "atom"])
+    def test_direct_call_bit_identical_across_caller_blas_pools(self, method):
+        """Each layer kernel runs at one BLAS thread, so a direct call (no
+        sweep job around it) gives the same bits at caller pools 1 and 2:
+        llama2-13b is 144 wide, where LAPACK's rounding depends on the
+        thread count."""
+        get, set_ = openblas_num_threads("get"), openblas_num_threads("set")
+        original, by_pool = get(), {}
+        try:
+            for size in (1, 2):
+                set_(size)
+                model = build_model("llama2-13b")
+                quantize_model(model, method, 4, hessian_store=HessianStore())
+                assert get() == size  # the caller's pool comes back
+                by_pool[size] = dict(model.overrides)
+        finally:
+            set_(original)
+        assert by_pool[1].keys() == by_pool[2].keys() == set(model.linear_names)
+        for name, dequant in by_pool[1].items():
+            assert np.array_equal(dequant, by_pool[2][name]), name
 
     def test_store_shared_within_model(self):
         """wq/wk/wv (and w1/w3) share activations, hence one Hessian: the
@@ -171,8 +193,12 @@ class TestCalibrationModes:
             quantize_model(build_model("opt-6.7b"), "rtn", 4, calibration="warp")
 
     def test_unknown_dispatch_rejected(self):
-        with pytest.raises(KeyError, match="dispatch"):
-            quantize_model(build_model("opt-6.7b"), "rtn", 4, dispatch="carrier-pigeon")
+        """The engine takes no scheduling keywords (layers run in forward
+        order on the calling thread), so these reach the method's schema."""
+        for kwarg in (dict(dispatch="thread"), dict(workers=2)):
+            [name] = kwarg
+            with pytest.raises(MethodParamError, match=name):
+                quantize_model(build_model("opt-6.7b"), "rtn", 4, **kwarg)
 
     def test_parallel_calibration_reuses_store_across_settings(self):
         model = build_model("opt-6.7b")

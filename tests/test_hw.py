@@ -415,10 +415,10 @@ class TestPipelineIntegration:
         assert first.ok and first.cache_hits == 0
         replay = run_sweep(sweep, cache_dir=str(tmp_path), executor="serial")
         assert replay.cache_hits == len(replay.outcomes) == 2
-        threaded = run_sweep(sweep, cache_dir=None, executor="thread", workers=2)
-        assert threaded.ok
+        pooled = run_sweep(sweep, cache_dir=None, executor="process", workers=2)
+        assert pooled.ok
         assert {o.job.job_hash: o.metrics for o in first.outcomes} == {
-            o.job.job_hash: o.metrics for o in threaded.outcomes
+            o.job.job_hash: o.metrics for o in pooled.outcomes
         }
 
     def test_mixed_quant_and_hw_grid(self):

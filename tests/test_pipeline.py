@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -19,9 +21,9 @@ from repro.pipeline import (
     ResultCache,
     SerialExecutor,
     SweepSpec,
-    ThreadExecutor,
     make_executor,
 )
+from repro.pipeline.executor import _call
 
 # ---------------------------------------------------------------------- spec
 
@@ -165,7 +167,7 @@ TOY_JOBS = SweepSpec(
 ).jobs()
 
 
-@pytest.mark.parametrize("name", ["serial", "thread", "process"])
+@pytest.mark.parametrize("name", ["serial", "process"])
 def test_executors_agree_with_serial(name):
     reference = {o.job.job_hash: o.metrics for o in SerialExecutor().run(_toy_kernel, TOY_JOBS)}
     pool = make_executor(name, workers=2)
@@ -174,7 +176,7 @@ def test_executors_agree_with_serial(name):
     assert len(got) == len(TOY_JOBS)
 
 
-@pytest.mark.parametrize("name", ["serial", "thread", "process"])
+@pytest.mark.parametrize("name", ["serial", "process"])
 def test_executor_captures_failures_without_dying(name):
     pool = make_executor(name, workers=2)
     outcomes = list(pool.run(_angry_kernel, TOY_JOBS))
@@ -204,7 +206,7 @@ def _job_blas_threads(name):
 
 @needs_openblas
 def test_every_executor_runs_jobs_at_one_blas_thread():
-    """Serial, thread and process jobs all run with OpenBLAS at one thread,
+    """Serial and process jobs both run with OpenBLAS at one thread,
     whatever the caller's pool, and the caller's pool is as it was after
     each run: a machine-sized one comes back, one already at 1 stays 1."""
     get, set_ = _openblas_get, openblas_num_threads("set")
@@ -213,7 +215,7 @@ def test_every_executor_runs_jobs_at_one_blas_thread():
         for size in (2, 1):
             set_(size)
             caller = get()
-            for name in ("serial", "thread", "process"):
+            for name in ("serial", "process"):
                 assert _job_blas_threads(name) == {1}, (name, caller)
                 assert get() == caller, (name, caller)
     finally:
@@ -229,18 +231,20 @@ def _blas_threads_at_start_and_end(job):
 
 @needs_openblas
 def test_one_blas_thread_scope_survives_oversubscribed_thread_pool():
-    """Many more threads than CPUs, switching often: a per-call save/restore
-    would let one job's exit restore the caller's pool under a running job,
-    or leave the caller with a job's pool of 1."""
+    """Many more threads than CPUs, switching often, each running jobs
+    through ``_call`` as ``repro-serve``'s submission threads do: a per-call
+    save/restore would let one job's exit restore the caller's pool under a
+    running job, or leave the caller with a job's pool of 1."""
     get, set_ = _openblas_get, openblas_num_threads("set")
     original, interval = get(), sys.getswitchinterval()
-    pool = ThreadExecutor(workers=4 * (os.cpu_count() or 1), chunk_size=4)
+    run_job = functools.partial(_call, _blas_threads_at_start_and_end)
     try:
         set_(2)
         caller = get()
         sys.setswitchinterval(1e-5)
         t0 = time.perf_counter()
-        outcomes = list(pool.run(_blas_threads_at_start_and_end, TOY_JOBS * 40))
+        with ThreadPoolExecutor(max_workers=4 * (os.cpu_count() or 1)) as pool:
+            outcomes = list(pool.map(run_job, TOY_JOBS * 40, timeout=60.0))
         elapsed = time.perf_counter() - t0
         after = get()
     finally:
@@ -253,10 +257,11 @@ def test_one_blas_thread_scope_survives_oversubscribed_thread_pool():
 
 
 def test_make_executor_rejects_unknown_name():
-    with pytest.raises(KeyError, match="unknown executor"):
-        make_executor("gpu-cluster")
+    for name in ("gpu-cluster", "thread"):
+        with pytest.raises(KeyError, match="unknown executor"):
+            make_executor(name)
 
 
 def test_executors_run_empty_job_lists():
-    for name in ("serial", "thread", "process"):
+    for name in ("serial", "process"):
         assert list(make_executor(name, workers=2).run(_toy_kernel, [])) == []

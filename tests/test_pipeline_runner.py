@@ -3,8 +3,9 @@
 The acceptance gate: a ≥24-job sweep through the process pool must beat the
 serial executor when the machine has the cores for it, and an immediate
 identical re-run must be answered entirely from the content-addressed cache
-with equal results. The last test pins bit-identity of Hessian methods
-across the caller's BLAS pool size and the executors.
+with equal results. The last tests pin bit-identity of Hessian methods
+across the caller's BLAS pool size and the executors, and that an unknown
+executor name fails before any cache read.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import pytest
 from blas_oracle import openblas_num_threads
 
 from repro.methods import default_hessian_store
-from repro.pipeline import ExperimentSpec, SweepSpec, run_sweep
+from repro.obs import RunLedger
+from repro.pipeline import ExperimentSpec, ResultCache, SweepSpec, run_sweep
 
 CHEAP = dict(eval_sequences=8, eval_seq_len=24)
 
@@ -190,5 +192,24 @@ def test_hessian_methods_bit_identical_across_blas_pools_and_executors():
     finally:
         set_(original)
     assert by_pool[1] == by_pool[2]
-    for name in ("thread", "process"):
-        assert sweep(name, workers=2) == by_pool[1], name
+    assert sweep("process", workers=2) == by_pool[1]
+
+
+@pytest.mark.parametrize("name", ["warp", "thread"])
+def test_unknown_executor_raises_before_any_cache_read(tmp_path, monkeypatch, name):
+    """An unknown executor name fails where the scheduler takes it, so a
+    warm cache cannot let it pass, and no ledger record names it."""
+    spec = SweepSpec(families=("opt-6.7b",), methods=("rtn",), w_bits=(4,), **CHEAP)
+    warm = tmp_path / "warm"
+    assert run_sweep(spec, cache_dir=str(warm), executor="serial").ok
+    reads = []
+    real_get = ResultCache.get
+    monkeypatch.setattr(
+        ResultCache, "get", lambda self, h: reads.append(h) or real_get(self, h)
+    )
+    for cache_dir in (tmp_path / "cold", warm):
+        with pytest.raises(KeyError, match="unknown executor"):
+            run_sweep(spec, cache_dir=str(cache_dir), executor=name)
+    assert reads == []
+    assert len(RunLedger(tmp_path / "cold" / "runs")) == 0
+    assert len(RunLedger(warm / "runs")) == 1

@@ -28,6 +28,7 @@ from repro.pipeline.cache import ResultCache
 from repro.pipeline.cli import main as cli_main
 from repro.pipeline.scheduler import SweepCancelled, SweepScheduler, sweep_digest
 from repro.serve import ServeClient, ServeError, build_sweep_spec, start_in_thread
+from repro.serve.server import main as serve_main
 from repro.serve.client import sweep_to_payload
 
 SMALL = dict(eval_sequences=6, eval_seq_len=16)
@@ -258,16 +259,21 @@ class TestValidation:
         assert "nope" in str(err.value)
 
     def test_bad_submit_option_is_400(self, server):
-        payload = {"sweep": sweep_to_payload(small_spec()), "options": {"executor": "warp"}}
-        req = urllib.request.Request(
-            server.url + "/api/sweeps",
-            data=json.dumps(payload).encode(),
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(req)
-        assert err.value.code == 400
+        for executor in ("warp", "thread"):
+            payload = {
+                "sweep": sweep_to_payload(small_spec()),
+                "options": {"executor": executor},
+            }
+            req = urllib.request.Request(
+                server.url + "/api/sweeps",
+                data=json.dumps(payload).encode(),
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(req)
+            assert err.value.code == 400
+            assert "unknown executor" in json.loads(err.value.read())["error"]
 
     def test_malformed_json_is_400(self, server):
         req = urllib.request.Request(
@@ -462,6 +468,16 @@ class TestServiceCli:
                        "--server", "http://127.0.0.1:1"])
         assert rc != 0
 
+    def test_thread_executor_is_not_a_choice(self, tmp_path):
+        for main, argv in (
+            (cli_main, ["sweep", "--cache-dir", str(tmp_path)]),
+            (cli_main, ["submit", "--server", "http://127.0.0.1:1"]),
+            (serve_main, ["--cache-dir", str(tmp_path), "--port", "0"]),
+        ):
+            with pytest.raises(SystemExit) as exit_:
+                main([*argv, "--executor", "thread"])
+            assert exit_.value.code == 2, argv
+
 
 # ----------------------------------------------------------- bearer-token auth
 
@@ -536,8 +552,6 @@ class TestServeAuth:
             start_in_thread(host="0.0.0.0")
 
     def test_serve_main_refuses_non_loopback_without_token(self, monkeypatch):
-        from repro.serve.server import main as serve_main
-
         monkeypatch.delenv("REPRO_SERVE_TOKEN", raising=False)
         with pytest.raises(SystemExit) as err:
             serve_main(["--host", "0.0.0.0", "--port", "0"])

@@ -164,7 +164,7 @@ class TestQuantizeModel:
         assert not model.overrides and not model.act_quant
 
     def test_engine_bit_identical_to_serial_walk(self, sub, model):
-        """Grouped collection + executor dispatch must reproduce the
+        """Grouped collection and shape batching must reproduce the
         pre-refactor per-layer walk exactly, per-layer dequant compared
         bit for bit."""
         calib = sub.calibration(model)
@@ -177,10 +177,7 @@ class TestQuantizeModel:
             model.set_override(name, result.dequant)
             ref[name] = result.dequant
         model.clear_overrides()
-        quantize_model(
-            model, "microscopiq", 4, calib=calib,
-            dispatch="thread", workers=2, hessian_store=HessianStore(),
-        )
+        quantize_model(model, "microscopiq", 4, calib=calib, hessian_store=HessianStore())
         for name in model.linear_names:
             assert np.array_equal(model.overrides[name], ref[name]), name
         model.clear_overrides()
