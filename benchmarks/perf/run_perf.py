@@ -11,7 +11,9 @@ named span, not just a wall-clock delta:
 * ``engine.<substrate>/<family>`` — one whole-model MicroScopiQ engine
   quantize per substrate, with the engine span broken down into calibrate /
   layer / kernel time; ``engine.lm.gptq`` runs GPTQ W4 on the same LM,
-  where the ``layer`` self time is GPTQ's column walk;
+  where the ``layer`` self time is GPTQ's column walk, and
+  ``engine.lm.omni`` runs Omni-MicroScopiQ W4 on it, whose two candidates
+  share one ``kernel:quantize_matrix`` walk per layer;
 * ``sweep`` — a small codesign sweep against a fresh cache, then the
   identical sweep again (pure cache lookups), on the ``serial`` and
   ``process`` ×2 executors, each pair in a fresh interpreter: wall,
@@ -264,6 +266,8 @@ def run(repeats: int) -> Dict[str, Any]:
         benches[f"engine.{substrate}"] = bench_engine(substrate, family)
     print("engine quantize lm/opt-6.7b with gptq ...", flush=True)
     benches["engine.lm.gptq"] = bench_engine("lm", "opt-6.7b", method="gptq")
+    print("engine quantize lm/opt-6.7b with omni-microscopiq ...", flush=True)
+    benches["engine.lm.omni"] = bench_engine("lm", "opt-6.7b", method="omni-microscopiq")
     print("cold/warm sweep ...", flush=True)
     benches["sweep"] = bench_sweep()
     print(f"simulate x{repeats} ...", flush=True)

@@ -154,7 +154,10 @@ def bench_quantize_matrix(repeats: int) -> Dict[str, Any]:
 
 def check_bit_identity() -> None:
     """The library must be an optimization of the oracle, not a different
-    quantizer."""
+    quantizer: MicroScopiQ's batched walk against the per-row walk, and
+    Omni-MicroScopiQ's one walk over both candidates' stacked rows against
+    the oracle's walk per candidate (weight-only and W4A8)."""
+    from repro.baselines.microscopiq_adapter import quantize_omni_microscopiq
     from repro.quant.microscopiq import quantize_matrix
 
     rng = np.random.default_rng(7)
@@ -167,6 +170,16 @@ def check_bit_identity() -> None:
     assert np.array_equal(ref.dequant, vec.dequant), "library diverged from oracle (dequant)"
     assert np.array_equal(ref.outlier_mask, vec.outlier_mask), "library diverged from oracle (mask)"
     assert ref.perm_lists == vec.perm_lists, "library diverged from oracle (perm lists)"
+    for act_bits in (None, 8):
+        with oracle_kernels():
+            ref = quantize_omni_microscopiq(weights, calib, bits=4, act_bits=act_bits)
+        vec = quantize_omni_microscopiq(weights, calib, bits=4, act_bits=act_bits)
+        what = f"omni-microscopiq act_bits={act_bits}"
+        assert np.array_equal(ref.dequant, vec.dequant), f"{what}: library diverged from oracle (dequant)"
+        ref_p, vec_p = ref.meta["packed"], vec.meta["packed"]
+        assert ref_p.config == vec_p.config, f"{what}: library chose another candidate"
+        assert np.array_equal(ref_p.outlier_mask, vec_p.outlier_mask), f"{what}: library diverged from oracle (mask)"
+        assert ref_p.perm_lists == vec_p.perm_lists, f"{what}: library diverged from oracle (perm lists)"
 
 
 def run(repeats: int, engine_repeats: int) -> Dict[str, Any]:

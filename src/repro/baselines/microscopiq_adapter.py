@@ -12,7 +12,7 @@ import numpy as np
 
 from ..quant.activation import ActivationQuantizer, apply_migration
 from ..quant.config import MicroScopiQConfig
-from ..quant.microscopiq import quantize_matrix
+from ..quant.microscopiq import quantize_candidates
 from .base import BaselineResult
 
 __all__ = ["quantize_microscopiq_baseline", "quantize_omni_microscopiq"]
@@ -25,16 +25,28 @@ def _quantize_best(
     hessian: np.ndarray | None = None,
 ):
     """Quantize with each candidate config, keep the calibration-error
-    minimizer (the grid-search equivalent of OmniQuant's learned choice)."""
+    minimizer (the grid-search equivalent of OmniQuant's learned choice).
+
+    The candidates differ only in ``lwc``, so they share one walk over their
+    stacked rows (:func:`~repro.quant.microscopiq.quantize_candidates`) and
+    one error denominator ``‖X Wᵀ‖``. The first candidate wins a tie.
+    Without calibration there is nothing to score, and only the first
+    candidate is quantized.
+    """
+    if calib_inputs is None:
+        configs = configs[:1]
+    parts = quantize_candidates(w, calib_inputs, configs, hessian)
+    if len(parts) == 1:
+        return parts[0]
+    den = max(float(np.linalg.norm(calib_inputs @ w.T)), 1e-12)
     best = None
-    for cfg in configs:
-        packed = quantize_matrix(w, calib_inputs, cfg, hessian=hessian)
-        if calib_inputs is None or len(configs) == 1:
-            return packed
-        err = packed.reconstruction_error(w, calib_inputs)
+    for packed in parts:
+        err = float(np.linalg.norm(calib_inputs @ (w - packed.dequant).T) / den)
         if best is None or err < best[0]:
             best = (err, packed)
-    return best[1]
+    # A part is a row view of the stacked walk: copy the winner so the
+    # layer it goes into does not pin the other candidate's rows.
+    return best[1].copy()
 
 
 def _run(
@@ -104,9 +116,11 @@ def quantize_omni_microscopiq(
 
     Per layer, the importance-weighted (LWC) and plain scale fits compete
     on calibration output error — the learned variant can therefore only
-    match or improve on plain MicroScopiQ, as in the paper. ``config``
-    overrides the base MicroScopiQ knobs (group sizes, outlier format, …);
-    its LWC variant is derived from it."""
+    match or improve on plain MicroScopiQ, as in the paper. Both candidates
+    come out of one MicroScopiQ walk over their stacked rows, with one
+    Hessian per calibration (per α with ``act_bits``). ``config`` overrides
+    the base MicroScopiQ knobs (group sizes, outlier format, …); its LWC
+    variant is derived from it."""
     base = config or MicroScopiQConfig(inlier_bits=bits)
     return _run(
         "omni-microscopiq",

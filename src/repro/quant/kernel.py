@@ -80,17 +80,30 @@ class BlockQuantKernel:
         ``tests/kernel_oracle.py``). The error terms are computed
         identically, so the only float difference is the summation order of
         the trailing updates; MicroScopiQ's outputs stay bit-identical to the
-        oracle's (``tests/test_vector_kernel.py``). With ``hi == lo+1`` the GEMM is an outer product and
-        the two forms are trivially identical.
+        oracle's (``tests/test_vector_kernel.py``). With ``hi == lo+1`` the
+        GEMM is an outer product and the two forms are trivially identical.
+
+        Phase 1 works on transposed step buffers, ``[hi-lo, d_out]``,
+        allocated once per call, so that each column of the block is one
+        contiguous row: each column's error is written straight into its row
+        of ``errs``, and its rank-1 update is broadcast into one reused
+        product buffer (``np.outer``'s multiplications, without a temporary
+        per column). Every element sees the same float operations in the
+        same order as in the untransposed loop, and the GEMM gets the same
+        C-ordered ``[d_out, hi-lo]`` error matrix.
         """
         d_in = w.shape[1]
-        w_work = w[:, lo:hi].copy()
+        w_work = w[:, lo:hi].T.copy()
+        q_cols = q[:, lo:hi].T
         errs = np.empty_like(w_work)
-        for p in range(lo, hi):
-            j = p - lo
-            err = (w_work[:, j] - q[:, p]) / u_factor[p, p]
-            errs[:, j] = err
-            if j + 1 < w_work.shape[1]:
-                w_work[:, j + 1 :] -= np.outer(err, u_factor[p, p + 1 : hi])
+        prod = np.empty_like(w_work)
+        for j, p in enumerate(range(lo, hi)):
+            err = errs[j]
+            np.subtract(w_work[j], q_cols[j], out=err)
+            err /= u_factor[p, p]
+            if p + 1 < hi:
+                upd = prod[j + 1 :]
+                np.multiply(u_factor[p, p + 1 : hi, None], err, out=upd)
+                w_work[j + 1 :] -= upd
         if hi < d_in:
-            w[:, hi:] -= errs @ u_factor[lo:hi, hi:]
+            w[:, hi:] -= np.ascontiguousarray(errs.T) @ u_factor[lo:hi, hi:]

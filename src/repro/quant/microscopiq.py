@@ -5,17 +5,24 @@ For every macro-block (MaB, 128 columns) of every row:
 1. **Separate** inliers and outliers with the 3σ rule
    (:meth:`~repro.quant.kernel.BlockQuantKernel.separate`).
 2. **Scale-fit**: one shared power-of-two inlier scale ``2**Isf`` per row
-   (MX-INT-b_BM), snapped to the E8M0 grid (:func:`_fit_inlier_scale`).
+   (MX-INT-b_BM), snapped to the E8M0 grid (:func:`_fit_inlier_scale`);
+   LWC rows weight its error by ``diag(H)``.
 3. Per micro-block (μB, 8 columns): cap outliers at ``B_μ/2``; **prune**
    the ``n`` least-important inliers (OBS saliency ``w²/[H⁻¹]_pp``,
    :func:`_select_prune_positions`) to free slots for the outliers' extra
    bits; **outlier-quantize** the outliers jointly to MX-FP with a shared
    microexponent, optionally pre-scaled by ``2**Isf``
    (:func:`_quantize_outlier_group`). All rows of a μB run these stages as
-   one batch (:func:`~repro.quant.vector.vector_ub_quantize`).
+   one batch (:func:`~repro.quant.vector.vector_ub_quantize`), from a plan
+   of everything that depends only on the MaB's outlier mask, made once
+   per MaB (:func:`~repro.quant.vector.plan_ubs`).
 4. **Compensate** the quantization error onto not-yet-quantized columns via
    the GPTQ/OBS update
    (:meth:`~repro.quant.kernel.BlockQuantKernel.propagate_block_error_gemm`).
+
+After the walk, the packer metadata of every μB step is concatenated and
+scattered into the :class:`~repro.quant.packed.PackedLayer` once
+(:func:`_scatter_ub_meta`).
 
 Columns are processed strictly left-to-right along the input (dot-product)
 dimension, so the inverse-Hessian Cholesky factor drives compensation exactly
@@ -23,9 +30,16 @@ as in GPTQ. The block-loop scaffolding (block walk, outlier separation, OBS
 propagation) lives on the shared :class:`BlockQuantKernel` that the GPTQ-family
 baselines reuse. The per-row walk the batched stages replaced is kept in
 ``tests/kernel_oracle.py`` as the tests' oracle.
+
+Algorithm 1 is row-independent, so configurations that differ only in
+``lwc`` — Omni-MicroScopiQ's LWC and plain scale-fit candidates — run as one
+walk over their stacked rows (:func:`quantize_candidates`), each row's scale
+fit following its candidate's flag.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -38,9 +52,9 @@ from ..obs.trace import trace
 from .config import MicroScopiQConfig
 from .kernel import BlockQuantKernel
 from .packed import PackedLayer
-from .vector import vector_ub_quantize
+from .vector import StepConstants, plan_ubs, vector_ub_quantize
 
-__all__ = ["quantize_matrix", "quantize_microscopiq"]
+__all__ = ["quantize_candidates", "quantize_matrix", "quantize_microscopiq"]
 
 
 def _level1_field_range(fmt: FPFormat) -> tuple[int, int]:
@@ -135,10 +149,11 @@ def _fit_inlier_scale(
     plain MicroScopiQ, ``diag(H) ~ E[x²]`` for the LWC (Omni-MicroScopiQ)
     objective.
     """
-    inlier_mag = np.where(omask, 0.0, np.abs(block))
-    no_inliers = ~np.any(~omask, axis=1)
-    amax = np.max(inlier_mag, axis=1)
-    amax = np.where(no_inliers, np.max(np.abs(block), axis=1), amax)
+    mag = np.abs(block)
+    amax = np.where(omask, 0.0, mag).max(axis=1)
+    no_inliers = omask.all(axis=1)
+    if no_inliers.any():
+        amax = np.where(no_inliers, mag.max(axis=1), amax)
     safe = np.where(amax == 0.0, 1.0, amax)
     isf = np.where(
         amax == 0.0, 0, np.ceil(np.log2(safe / imax))
@@ -149,9 +164,17 @@ def _fit_inlier_scale(
     best_isf = isf.copy()
     for delta in (0, 1, 2):
         cand = isf - delta
-        sc = 2.0 ** cand.astype(np.float64)
-        qq = np.clip(np.rint(inl / sc[:, None]), -imax, imax) * sc[:, None]
-        mse = np.sum((qq - inl) ** 2 * col_w, axis=1)
+        sc = (2.0 ** cand.astype(np.float64))[:, None]
+        # ((clip(rint(inl / sc)) * sc - inl) ** 2) * col_w, in one buffer.
+        err = inl / sc
+        np.rint(err, out=err)
+        np.maximum(err, -imax, out=err)
+        np.minimum(err, imax, out=err)
+        err *= sc
+        err -= inl
+        np.square(err, out=err)
+        err *= col_w
+        mse = np.sum(err, axis=1)
         if best_mse is None:
             best_mse = mse
         else:
@@ -159,35 +182,6 @@ def _fit_inlier_scale(
             best_mse = np.where(better, mse, best_mse)
             best_isf = np.where(better, cand, best_isf)
     return best_isf.astype(np.int32)
-
-
-def _record_ub_meta(
-    meta,
-    row_ids: np.ndarray,
-    ub_ids: np.ndarray,
-    col_base: np.ndarray,
-    out_mask: np.ndarray,
-    pruned: np.ndarray,
-    ub_count: np.ndarray,
-    ub_scale: np.ndarray,
-    perm_lists: dict,
-) -> None:
-    """Scatter one μB batch's :class:`~repro.quant.vector.UbRowMeta` into the
-    global packer arrays. ``row_ids`` / ``ub_ids`` / ``col_base`` map each
-    batch row to its matrix row, μB index, and μB start column."""
-    rsel, jsel = np.nonzero(meta.out_valid)
-    out_mask[row_ids[rsel], col_base[rsel] + meta.out_idx[rsel, jsel]] = True
-    if meta.prune_idx.shape[1]:
-        psel, qsel = np.nonzero(meta.prune_valid)
-        pruned[row_ids[psel], col_base[psel] + meta.prune_idx[psel, qsel]] = True
-    ub_count[row_ids, ub_ids] = meta.n_out
-    ub_scale[row_ids, ub_ids, 0] = np.clip(meta.level1, -32768, 32767)
-    ub_scale[row_ids, ub_ids, 1] = meta.mu_x
-    for i in range(len(row_ids)):
-        perm_lists[(int(row_ids[i]), int(ub_ids[i]))] = [
-            (int(meta.out_idx[i, j]), int(meta.prune_idx[i, j]))
-            for j in range(int(meta.n_prune[i]))
-        ]
 
 
 def quantize_matrix(
@@ -207,23 +201,102 @@ def quantize_matrix(
     of once per (bits, knob) setting.
 
     The μB stages run batched across rows — and, without compensation,
-    across a whole macro-block.
+    across a whole macro-block. Non-finite or empty weights, and calibration
+    or a raw ``H`` that is non-finite or does not match ``d_in``, raise
+    ``ValueError``.
     """
-    config = config or MicroScopiQConfig()
+    return quantize_candidates(
+        weights, calib_inputs, (config or MicroScopiQConfig(),), hessian
+    )[0]
+
+
+def quantize_candidates(
+    weights: np.ndarray,
+    calib_inputs: np.ndarray | None,
+    configs: Sequence[MicroScopiQConfig],
+    hessian: np.ndarray | HessianBundle | None = None,
+) -> list[PackedLayer]:
+    """Quantize ``weights`` under each of ``configs`` in one walk.
+
+    The candidates may differ only in ``lwc`` (``ValueError`` otherwise).
+    Algorithm 1 is row-independent, so the walk runs once over the
+    candidates' rows stacked ``[len(configs) · d_out, d_in]``, fitting the
+    inlier scales of each LWC candidate's rows with the ``diag(H)`` weights:
+    one μB step per column block and one Hessian bundle for all candidates.
+    Part ``i`` equals ``quantize_matrix(weights, calib_inputs, configs[i],
+    hessian)`` bit for bit and carries ``configs[i]``. With more than one
+    candidate the parts are row views of one stacked layer, so a caller that
+    keeps one should copy it (:meth:`PackedLayer.copy`).
+    """
+    configs = tuple(configs)
+    base = configs[0]
+    for cfg in configs[1:]:
+        if cfg.with_(lwc=base.lwc) != base:
+            raise ValueError(
+                f"candidate configs may differ only in lwc: {cfg} vs {base}"
+            )
+    w = _checked_weights(weights, calib_inputs, hessian)
+    d_out = w.shape[0]
+    # The walk overwrites its matrix (compensation): one private copy, which
+    # np.vstack makes when it stacks the candidates.
+    work = np.vstack((w,) * len(configs)) if len(configs) > 1 else w.copy()
+    lwc_rows = np.repeat([cfg.lwc for cfg in configs], d_out)
     with trace("kernel:quantize_matrix"):
         METRICS.incr("quant.kernel.vector_calls")
-        return _quantize_matrix_impl(weights, calib_inputs, config, hessian)
+        packed = _quantize_matrix_impl(work, calib_inputs, base, hessian, lwc_rows)
+    if len(configs) == 1:
+        return [packed]
+    parts = packed.split_rows([d_out] * len(configs))
+    for part, cfg in zip(parts, configs):
+        part.config = cfg
+    return parts
+
+
+def _checked_weights(weights, calib_inputs, hessian) -> np.ndarray:
+    """``weights`` as float64, after rejecting input the walk cannot use: a
+    NaN or ±inf would spread along its row through the compensation and
+    poison the inlier scale, and an empty or mismatched shape fails deep in
+    the walk, or not at all."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 2:
+        raise ValueError(f"expected 2-D weights, got shape {w.shape}")
+    if not w.size:
+        raise ValueError(f"weights must have d_out, d_in >= 1, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError(
+            f"weights hold {int(w.size - np.isfinite(w).sum())} non-finite "
+            "value(s) (NaN or ±inf)"
+        )
+    d_in = w.shape[1]
+    if calib_inputs is not None:
+        x = np.asarray(calib_inputs)
+        if x.ndim != 2 or x.shape[1] != d_in:
+            raise ValueError(
+                f"calib_inputs must be [n, d_in={d_in}], got shape {x.shape}"
+            )
+        if not np.isfinite(x).all():
+            raise ValueError("calib_inputs hold non-finite value(s) (NaN or ±inf)")
+    if hessian is not None and not isinstance(hessian, HessianBundle):
+        h = np.asarray(hessian)
+        if h.shape != (d_in, d_in):
+            raise ValueError(
+                f"hessian must be [d_in, d_in] = [{d_in}, {d_in}], got shape {h.shape}"
+            )
+        if not np.isfinite(h).all():
+            raise ValueError("hessian holds non-finite value(s) (NaN or ±inf)")
+    return w
 
 
 def _quantize_matrix_impl(
-    weights: np.ndarray,
+    w: np.ndarray,
     calib_inputs: np.ndarray | None,
     config: MicroScopiQConfig,
     hessian: np.ndarray | HessianBundle | None,
+    lwc_rows: np.ndarray,
 ) -> PackedLayer:
-    w = np.array(weights, dtype=np.float64)
-    if w.ndim != 2:
-        raise ValueError(f"expected 2-D weights, got shape {w.shape}")
+    """One walk of Algorithm 1 over ``w``, a float64 working copy it
+    overwrites. ``config.lwc`` is not read: the rows where ``lwc_rows`` is
+    set fit their inlier scales LWC-weighted (when there is an ``H``)."""
     d_out, d_in = w.shape
     bm, bu = config.macro_block, config.micro_block
     imax = int_max(config.inlier_bits)
@@ -235,98 +308,89 @@ def _quantize_matrix_impl(
     else:
         bundle = None
     have_h = bundle is not None
-    if have_h:
-        hinv_diag = bundle.hinv_diag
-        u_factor = bundle.u_factor if config.compensate else None
-    else:
-        hinv_diag = np.ones(d_in)
-        u_factor = None
+    k = StepConstants.of(config)
+    # diag(H⁻¹) is the Hessian prune saliency's denominator. It is factored
+    # whenever there is an H, whatever the strategy, so the bundle computes
+    # (and the store counts and persists) the same factors for every config.
+    # Without an H the saliency is the weight magnitude and nothing is
+    # compensated.
+    hinv_diag = bundle.hinv_diag if have_h else None
+    hd = hinv_diag if k.hessian_prune else None
+    u_factor = bundle.u_factor if have_h and config.compensate else None
+    h_diag = bundle.h_diag if have_h and lwc_rows.any() else None
 
     n_mabs = (d_in + bm - 1) // bm
-    n_ubs = (d_in + bu - 1) // bu
     q = np.zeros_like(w)
     isf_out = np.zeros((d_out, n_mabs), dtype=np.int32)
-    out_mask = np.zeros(w.shape, dtype=bool)
-    pruned = np.zeros(w.shape, dtype=bool)
-    ub_count = np.zeros((d_out, n_ubs), dtype=np.uint8)
-    ub_scale = np.full((d_out, n_ubs, 2), -128, dtype=np.int16)
-    perm_lists: dict = {}
+    metas: list = []
 
     kernel = BlockQuantKernel(
         bm, config.sigma_threshold, detect_outliers=config.outlier_format != "none"
     )
 
-    meta_sinks = (out_mask, pruned, ub_count, ub_scale, perm_lists)
-
     for m_lo, m_hi in kernel.blocks(d_in):
         block = w[:, m_lo:m_hi]
         omask = kernel.separate(block)
 
-        if config.lwc and have_h:
-            col_w = bundle.h_diag[m_lo:m_hi][None, :]
-        else:
+        if h_diag is None:
             col_w = np.ones((1, m_hi - m_lo))
+        else:
+            col_w = np.where(lwc_rows[:, None], h_diag[m_lo:m_hi], 1.0)
         isf = _fit_inlier_scale(block, omask, imax, col_w)
         isf_out[:, m_lo // bm] = isf
         scale = 2.0 ** isf.astype(np.float64)
 
-        if u_factor is None:
+        ub0, n_full = m_lo // bu, (m_hi - m_lo) // bu
+        span = n_full * bu
+        hd_mab = None if hd is None else hd[m_lo : m_lo + span].reshape(n_full, bu)
+        steps = []
+        if n_full and u_factor is None:
             # No cross-μB propagation: every full μB of the MaB batches as an
-            # independent virtual row through the same core.
-            n_full = (m_hi - m_lo) // bu
-            if n_full:
-                span = n_full * bu
-                wb_v = w[:, m_lo : m_lo + span].reshape(d_out, n_full, bu).reshape(-1, bu)
-                om_v = omask[:, :span].reshape(d_out, n_full, bu).reshape(-1, bu)
-                hd_v = np.tile(hinv_diag[m_lo : m_lo + span].reshape(n_full, bu), (d_out, 1))
-                qb_v, meta = vector_ub_quantize(
-                    wb_v,
-                    om_v,
-                    np.repeat(scale, n_full),
-                    np.repeat(isf, n_full),
-                    hd_v,
-                    have_h,
-                    config,
-                )
-                q[:, m_lo : m_lo + span] = qb_v.reshape(d_out, span)
-                if meta is not None:
-                    u_off = meta.rows % n_full
-                    _record_ub_meta(
-                        meta,
-                        meta.rows // n_full,
-                        m_lo // bu + u_off,
-                        m_lo + u_off * bu,
-                        *meta_sinks,
-                    )
-            # The ragged tail μB, if any, runs on real rows below.
-            ub_starts = range(m_lo + n_full * bu, m_hi, bu)
-        else:
-            ub_starts = range(m_lo, m_hi, bu)
+            # independent virtual row through one step.
+            n_v = d_out * n_full
+            (plan,) = plan_ubs(
+                omask[:, :span].reshape(n_v, 1, bu), k, scale, isf, hd_mab, ub0, n_full
+            )
+            qb_v, meta = vector_ub_quantize(
+                w[:, m_lo : m_lo + span].reshape(n_v, bu),
+                plan,
+                np.repeat(scale, n_full)[:, None],
+                k,
+            )
+            q[:, m_lo : m_lo + span] = qb_v.reshape(d_out, span)
+            if meta is not None:
+                metas.append(meta)
+        elif n_full:
+            plans = plan_ubs(
+                omask[:, :span].reshape(d_out, n_full, bu), k, scale, isf, hd_mab, ub0
+            )
+            steps = [(m_lo + i * bu, plan) for i, plan in enumerate(plans)]
+        if span < m_hi - m_lo:
+            # The ragged tail μB runs on real rows.
+            hd_tail = None if hd is None else hd[None, m_lo + span : m_hi]
+            (plan,) = plan_ubs(
+                omask[:, None, span:], k, scale, isf, hd_tail, ub0 + n_full
+            )
+            steps.append((m_lo + span, plan))
 
-        for u_lo in ub_starts:
+        scale_ub = np.repeat(scale, bu).reshape(d_out, bu)
+        for u_lo, plan in steps:
             u_hi = min(u_lo + bu, m_hi)
             qb, meta = vector_ub_quantize(
                 w[:, u_lo:u_hi],  # current (compensated) snapshot of this μB
-                omask[:, u_lo - m_lo : u_hi - m_lo],
-                scale,
-                isf,
-                hinv_diag[u_lo:u_hi],
-                have_h,
-                config,
+                plan,
+                scale_ub[:, : u_hi - u_lo],
+                k,
             )
             if meta is not None:
-                n_rows = len(meta.rows)
-                _record_ub_meta(
-                    meta,
-                    meta.rows,
-                    np.full(n_rows, u_lo // bu),
-                    np.full(n_rows, u_lo),
-                    *meta_sinks,
-                )
+                metas.append(meta)
             q[:, u_lo:u_hi] = qb
             if u_factor is not None:
                 kernel.propagate_block_error_gemm(w, q, u_factor, u_lo, u_hi)
 
+    out_mask, pruned, ub_count, ub_scale, perm_lists = _scatter_ub_meta(
+        metas, w.shape, config
+    )
     return PackedLayer(
         dequant=q,
         config=config,
@@ -337,6 +401,45 @@ def _quantize_matrix_impl(
         ub_scale=ub_scale,
         perm_lists=perm_lists,
     )
+
+
+def _scatter_ub_meta(metas: list, shape: tuple[int, int], config: MicroScopiQConfig):
+    """The packer's metadata — outlier and pruned masks, per-μB outlier
+    counts and MXScales, permutation lists — from a walk's
+    :class:`~repro.quant.vector.UbRowMeta` steps, concatenated and scattered
+    once."""
+    d_out, d_in = shape
+    bu = config.micro_block
+    n_ubs = (d_in + bu - 1) // bu
+    out_mask = np.zeros(shape, dtype=bool)
+    pruned = np.zeros(shape, dtype=bool)
+    ub_count = np.zeros((d_out, n_ubs), dtype=np.uint8)
+    ub_scale = np.full((d_out, n_ubs, 2), -128, dtype=np.int16)
+    if not metas:
+        return out_mask, pruned, ub_count, ub_scale, {}
+
+    rows, ubs, out_idx, n_out, prune_idx, n_prune, level1, mu_x = map(
+        np.concatenate, zip(*metas)
+    )
+    slot = np.arange(config.max_outliers_per_ub)
+    base = ubs * bu
+    for mask, idx, n in ((out_mask, out_idx, n_out), (pruned, prune_idx, n_prune)):
+        r, j = np.nonzero(slot < n[:, None])
+        mask[rows[r], base[r] + idx[r, j]] = True
+    ub_count[rows, ubs] = n_out
+    ub_scale[rows, ubs, 0] = np.clip(level1, -32768, 32767)
+    ub_scale[rows, ubs, 1] = mu_x
+    # (upper, lower) location pairs of every valid prune slot, row-major;
+    # each (row, μB) takes its run of them.
+    valid = slot < n_prune[:, None]
+    pairs = list(zip(out_idx[valid].tolist(), prune_idx[valid].tolist()))
+    ends = np.cumsum(n_prune).tolist()
+    starts = [0] + ends[:-1]
+    perm_lists = {
+        key: pairs[s:e]
+        for key, s, e in zip(zip(rows.tolist(), ubs.tolist()), starts, ends)
+    }
+    return out_mask, pruned, ub_count, ub_scale, perm_lists
 
 
 # Alias emphasizing the method name at call sites that compare quantizers.

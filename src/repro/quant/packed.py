@@ -9,7 +9,7 @@ evaluation and the structural maps the accelerator simulator schedules from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -127,6 +127,21 @@ class PackedLayer:
             )
             lo = hi
         return parts
+
+    def copy(self) -> PackedLayer:
+        """A copy whose arrays own their memory. A :meth:`split_rows` band
+        is a view that keeps the whole stacked layer alive; its copy does
+        not."""
+        return replace(
+            self,
+            dequant=self.dequant.copy(),
+            inlier_scale_exp=self.inlier_scale_exp.copy(),
+            outlier_mask=self.outlier_mask.copy(),
+            pruned_mask=self.pruned_mask.copy(),
+            ub_outlier_count=self.ub_outlier_count.copy(),
+            ub_scale=self.ub_scale.copy(),
+            perm_lists=dict(self.perm_lists),
+        )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Apply the quantized layer: ``x @ W_q^T`` for ``x [..., d_in]``."""

@@ -7,14 +7,19 @@ can assert the fast form bit-identical to it:
 * :func:`quantize_matrix_walk` — MicroScopiQ's Algorithm 1 one μB and one
   row at a time (:func:`_prune_and_quantize_outliers`), compensating with
   the column-by-column OBS update :func:`propagate_block_error`. It has the
-  signature of ``repro.quant.microscopiq._quantize_matrix_impl`` and shares
-  its stage helpers (scale fit, prune choice, outlier group).
+  signature of ``repro.quant.microscopiq._quantize_matrix_impl`` (per-row
+  LWC flags included) and shares its stage helpers (scale fit, prune
+  choice, outlier group).
+* :func:`quantize_best_walk` — Omni-MicroScopiQ's candidate choice one
+  candidate at a time: a walk and an error score per config.
 * :func:`gptq_core_walk` — ``gptq_core`` on the untransposed weights.
 * :func:`quantize_olive_walk` — OliVe's per-row victim walk.
 
 :func:`oracle_kernels` is the seam that runs library code on the oracle:
-``quantize_matrix`` calls :func:`quantize_matrix_walk`, and the engine stops
-row-stacking same-shape layers, which gives the unbatched per-layer run.
+``quantize_matrix`` calls :func:`quantize_matrix_walk`, Omni-MicroScopiQ
+walks its candidates one by one (:func:`quantize_best_walk`), and the engine
+stops row-stacking same-shape layers, which gives the unbatched per-layer
+run.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from unittest import mock
 
 import numpy as np
 
+from repro.baselines import microscopiq_adapter
 from repro.baselines.base import BaselineResult, group_float_scale
 from repro.formats.scalar import int_max
 from repro.methods.resources import HessianBundle
@@ -40,10 +46,13 @@ from repro.quant.packed import PackedLayer
 
 @contextmanager
 def oracle_kernels():
-    """Run ``quantize_matrix`` on :func:`quantize_matrix_walk`, and the
-    engine's layers one kernel call each (no shape batching)."""
+    """Run ``quantize_matrix`` on :func:`quantize_matrix_walk`,
+    Omni-MicroScopiQ's candidates one walk each, and the engine's layers one
+    kernel call each (no shape batching)."""
     with mock.patch.object(
         microscopiq, "_quantize_matrix_impl", quantize_matrix_walk
+    ), mock.patch.object(
+        microscopiq_adapter, "_quantize_best", quantize_best_walk
     ), mock.patch.object(engine, "_coalesce_tasks", lambda tasks: tasks):
         yield
 
@@ -160,8 +169,10 @@ def quantize_matrix_walk(
     calib_inputs: np.ndarray | None,
     config: MicroScopiQConfig,
     hessian: np.ndarray | HessianBundle | None,
+    lwc_rows: np.ndarray,
 ) -> PackedLayer:
-    """MicroScopiQ one μB at a time, one outlier-bearing row at a time."""
+    """MicroScopiQ one μB at a time, one outlier-bearing row at a time; the
+    rows where ``lwc_rows`` is set fit their inlier scales LWC-weighted."""
     w = np.array(weights, dtype=np.float64)
     if w.ndim != 2:
         raise ValueError(f"expected 2-D weights, got shape {w.shape}")
@@ -201,10 +212,9 @@ def quantize_matrix_walk(
         block = w[:, m_lo:m_hi]
         omask = kernel.separate(block)
 
-        if config.lwc and have_h:
-            col_w = bundle.h_diag[m_lo:m_hi][None, :]
-        else:
-            col_w = np.ones((1, m_hi - m_lo))
+        col_w = np.ones((d_out, m_hi - m_lo))
+        if have_h:
+            col_w[lwc_rows] = bundle.h_diag[m_lo:m_hi]
         isf = _fit_inlier_scale(block, omask, imax, col_w)
         isf_out[:, m_lo // bm] = isf
         scale = 2.0 ** isf.astype(np.float64)
@@ -247,6 +257,21 @@ def quantize_matrix_walk(
         ub_scale=ub_scale,
         perm_lists=perm_lists,
     )
+
+
+def quantize_best_walk(w, calib_inputs, configs, hessian=None):
+    """Omni-MicroScopiQ's candidate choice one candidate at a time: one
+    ``quantize_matrix`` walk and one error score per config, the first
+    minimum kept."""
+    best = None
+    for cfg in configs:
+        packed = microscopiq.quantize_matrix(w, calib_inputs, cfg, hessian=hessian)
+        if calib_inputs is None or len(configs) == 1:
+            return packed
+        err = packed.reconstruction_error(w, calib_inputs)
+        if best is None or err < best[0]:
+            best = (err, packed)
+    return best[1]
 
 
 # ----------------------------------------------------------------------- GPTQ

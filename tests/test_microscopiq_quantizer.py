@@ -211,3 +211,65 @@ class TestDeterminism:
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
             quantize_matrix(np.zeros(8), None, MicroScopiQConfig())
+
+
+def _hostile_input(case):
+    """``quantize_matrix`` arguments for one bad input: a 16×64 matrix and
+    40×64 calibration with one thing wrong."""
+    rng = np.random.default_rng(5)
+    w = rng.normal(0.0, 0.02, (16, 64))
+    x = rng.normal(0.0, 1.0, (40, 64))
+    h = None
+    if case == "nan-weight":
+        w[3, 7] = np.nan
+    elif case == "inf-weight":
+        w[3, 7] = np.inf
+    elif case == "neg-inf-weight":
+        w[0, 0] = -np.inf
+    elif case == "no-rows":
+        w = w[:0]
+    elif case == "no-columns":
+        w, x = w[:, :0], None
+    elif case == "calib-1d":
+        x = x[0]
+    elif case == "calib-nan":
+        x[2, 5] = np.nan
+    elif case == "calib-other-d-in":
+        x = x[:, :32]
+    elif case == "hessian-nan":
+        h = x.T @ x
+        h[4, 4] = np.nan
+    elif case == "hessian-other-shape":
+        h = np.eye(32)
+    return w, x, h
+
+
+class TestHostileInput:
+    """Every unusable input raises one ``ValueError`` naming it, at the
+    entry: a NaN or ±inf weight used to come back as NaN along its row (the
+    compensation spreads it), NaN calibration raised an untyped conversion
+    error deep in the outlier stage, a mismatched ``d_in`` a broadcast
+    error, and an empty matrix a NaN ``ebw()`` or an empty-slice warning."""
+
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            pytest.param(case, message, id=case)
+            for case, message in (
+                ("nan-weight", r"weights hold 1 non-finite value"),
+                ("inf-weight", r"weights hold 1 non-finite value"),
+                ("neg-inf-weight", r"weights hold 1 non-finite value"),
+                ("no-rows", r"weights must have d_out, d_in >= 1, got shape \(0, 64\)"),
+                ("no-columns", r"weights must have d_out, d_in >= 1, got shape \(16, 0\)"),
+                ("calib-1d", r"calib_inputs must be \[n, d_in=64\], got shape \(64,\)"),
+                ("calib-nan", r"calib_inputs hold non-finite value"),
+                ("calib-other-d-in", r"calib_inputs must be \[n, d_in=64\], got shape \(40, 32\)"),
+                ("hessian-nan", r"hessian holds non-finite value"),
+                ("hessian-other-shape", r"hessian must be \[d_in, d_in\] = \[64, 64\]"),
+            )
+        ],
+    )
+    def test_rejected_with_a_typed_error(self, case, message):
+        w, x, h = _hostile_input(case)
+        with pytest.raises(ValueError, match=message):
+            quantize_matrix(w, x, MicroScopiQConfig(inlier_bits=4), hessian=h)

@@ -14,6 +14,10 @@ suite pins that contract:
   ``d_in % macro_block != 0``), and the two ``prune_strategy="adjacent"``
   regressions;
 * ``propagate_block_error_gemm`` against the oracle's column loop;
+* Omni-MicroScopiQ's fused candidate walk (``quantize_candidates``): each
+  part equals its candidate quantized alone, Omni's result equals the
+  per-candidate loop, the kept layer owns its arrays, and each calibration
+  (each α in weight-activation mode) builds one Hessian;
 * the engine's shape batching: same model bits as the oracle's unbatched
   run, batches actually formed for ``row_batchable`` methods and refused
   for the rest;
@@ -36,14 +40,18 @@ from kernel_oracle import (
     gptq_core_walk,
     oracle_kernels,
     propagate_block_error,
+    quantize_best_walk,
     quantize_olive_walk,
 )
 
-from repro.baselines import get_quantizer
+from repro.baselines import get_quantizer, microscopiq_adapter
+from repro.baselines.microscopiq_adapter import quantize_omni_microscopiq
 from repro.methods import get_method, known_method_names
+from repro.methods.resources import HessianBundle
+from repro.obs.metrics import METRICS
 from repro.quant.config import MicroScopiQConfig
 from repro.quant.kernel import BlockQuantKernel
-from repro.quant.microscopiq import quantize_matrix
+from repro.quant.microscopiq import quantize_candidates, quantize_matrix
 from repro.quant.vector import resolve_kernel_path
 from tests.conftest import make_outlier_matrix
 
@@ -279,6 +287,121 @@ class TestPropagateBlockErrorGemm:
                 w_ref, w_gemm, rtol=1e-12, atol=1e-13,
                 err_msg=f"block [{lo},{hi})",
             )
+
+
+# ---------------------------------------------- Omni's fused candidate walk
+
+
+_FUSED_BASES = {
+    "w4": MicroScopiQConfig(inlier_bits=4),
+    "w2": MicroScopiQConfig(inlier_bits=2),
+    "w4-no-compensate": MicroScopiQConfig(inlier_bits=4, compensate=False),
+    "w2-no-compensate": MicroScopiQConfig(inlier_bits=2, compensate=False),
+    "mx-int": MicroScopiQConfig(inlier_bits=4, outlier_format="mx-int"),
+    "no-outlier-format": MicroScopiQConfig(inlier_bits=4, outlier_format="none"),
+}
+
+_PACKED_ARRAYS = (
+    "dequant", "inlier_scale_exp", "outlier_mask", "pruned_mask",
+    "ub_outlier_count", "ub_scale",
+)
+
+
+class TestFusedCandidates:
+    """One walk over the stacked rows of candidates that differ only in
+    ``lwc`` gives each candidate exactly its own walk."""
+
+    @pytest.mark.parametrize("name", sorted(_FUSED_BASES))
+    @pytest.mark.parametrize("d_in", [256, 200], ids=["d256", "ragged200"])
+    @pytest.mark.parametrize("calib_form", ["raw", "bundle"])
+    def test_parts_equal_separate_walks(self, name, d_in, calib_form):
+        base = _FUSED_BASES[name]
+        configs = (base.with_(lwc=True), base)
+        w = make_outlier_matrix(d_out=24, d_in=d_in, seed=11)
+        x = np.random.default_rng(12).normal(0, 1, (96, d_in))
+        h = HessianBundle(x, base.damp_ratio) if calib_form == "bundle" else None
+        parts = quantize_candidates(w, x, configs, hessian=h)
+        assert len(parts) == len(configs)
+        for part, cfg in zip(parts, configs):
+            alone = quantize_matrix(w, x, cfg, hessian=h)
+            assert_packed_equal(alone, part, f"{name} {calib_form} lwc={cfg.lwc}")
+            assert part.config == cfg
+
+    def test_lwc_changes_the_walk(self, weights, calib):
+        # The per-row LWC flags reach the scale fit: the two parts differ.
+        cfg = MicroScopiQConfig(inlier_bits=2)
+        lwc, plain = quantize_candidates(weights, calib, (cfg.with_(lwc=True), cfg))
+        assert not np.array_equal(lwc.inlier_scale_exp, plain.inlier_scale_exp)
+
+    def test_candidates_may_differ_only_in_lwc(self, weights, calib):
+        with pytest.raises(ValueError, match="differ only in lwc"):
+            quantize_candidates(
+                weights, calib,
+                (MicroScopiQConfig(inlier_bits=4), MicroScopiQConfig(inlier_bits=2)),
+            )
+
+
+class TestOmniFusedWalk:
+    @pytest.mark.parametrize("act_bits", [None, 8], ids=["weight-only", "a8"])
+    @pytest.mark.parametrize("bits", [2, 4])
+    def test_equals_per_candidate_loop(self, weights, calib, bits, act_bits):
+        """The fused walk, shared denominator and copy change nothing: Omni
+        equals a plain loop quantizing and scoring one candidate at a time."""
+        with mock.patch.object(microscopiq_adapter, "_quantize_best", quantize_best_walk):
+            loop = quantize_omni_microscopiq(weights, calib, bits=bits, act_bits=act_bits)
+        fused = quantize_omni_microscopiq(weights, calib, bits=bits, act_bits=act_bits)
+        assert_result_equal(loop, fused, f"w{bits} act_bits={act_bits}")
+        assert fused.meta["packed"].config == loop.meta["packed"].config
+
+    def test_store_bundle_equals_per_candidate_loop(self, weights, calib):
+        # The engine's weight-only call: calibration plus a store bundle.
+        with mock.patch.object(microscopiq_adapter, "_quantize_best", quantize_best_walk):
+            loop = quantize_omni_microscopiq(
+                weights, calib, bits=4, hessian=HessianBundle(calib, 0.01)
+            )
+        fused = quantize_omni_microscopiq(
+            weights, calib, bits=4, hessian=HessianBundle(calib, 0.01)
+        )
+        assert_result_equal(loop, fused, "store bundle")
+
+    def test_kept_layer_owns_its_arrays(self, weights, calib):
+        """The split parts are views of the stacked walk; the layer Omni
+        returns must not keep the other candidate's rows alive."""
+        walks = []
+        fused_walk = microscopiq_adapter.quantize_candidates
+
+        def record(*args, **kwargs):
+            walks.append(fused_walk(*args, **kwargs))
+            return walks[-1]
+
+        with mock.patch.object(microscopiq_adapter, "quantize_candidates", record):
+            kept = quantize_omni_microscopiq(weights, calib, bits=4).meta["packed"]
+        (parts,) = walks
+        assert any(part.config == kept.config for part in parts)
+        for part in parts:
+            for name in _PACKED_ARRAYS:
+                assert not np.shares_memory(getattr(kept, name), getattr(part, name)), name
+
+    @pytest.mark.parametrize(
+        "act_bits,per_call", [(None, 1), (8, 4)], ids=["weight-only", "a8-four-alphas"]
+    )
+    def test_one_hessian_per_calibration(self, act_bits, per_call):
+        """Weight-only: one H for both candidates. Weight-activation: one H
+        per α of the 4-point grid (the migration rescales the inputs)."""
+        w = make_outlier_matrix(d_out=32, d_in=96, seed=3)
+        x = np.random.default_rng(4).normal(0, 1, (64, 96))
+        keys = (
+            "hessian.store.h_builds",
+            "hessian.store.inversions",
+            "hessian.store.factorizations",
+            "quant.kernel.vector_calls",
+        )
+        before = METRICS.snapshot()
+        quantize_omni_microscopiq(w, x, bits=4, act_bits=act_bits)
+        after = METRICS.snapshot()
+        assert {k: after.get(k, 0) - before.get(k, 0) for k in keys} == dict.fromkeys(
+            keys, per_call
+        )
 
 
 # ------------------------------------------------------- engine shape batching
