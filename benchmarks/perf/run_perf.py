@@ -231,13 +231,16 @@ def bench_simulate(repeats: int) -> Dict[str, Any]:
 def bench_corpus(repeats: int) -> Dict[str, Any]:
     from repro.core import substrate
     from repro.eval import corpus
-    from repro.models.transformer import build_model
+    from repro.models import transformer
 
-    model = build_model("opt-6.7b")
+    model = transformer.build_model("opt-6.7b")
     lm_times, vlm_times = [], []
     for _ in range(repeats):
+        # Cold sampling, and the model builds inside it generate weights
+        # afresh, as a new process would.
         corpus._cached_sample.cache_clear()
         substrate._vlm_bundle.cache_clear()
+        transformer._family_weights.cache_clear()
         t0 = time.perf_counter()
         corpus.eval_corpus(model)
         corpus.calibration_tokens(model)

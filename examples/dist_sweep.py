@@ -1,9 +1,9 @@
 """Distributed sweep walkthrough: coordinator, worker fleet, remote executor.
 
 ``repro-dist`` runs sweeps on a work-stealing fleet: a coordinator owns the
-job queue, a fleet-wide in-flight book with expiring leases, and an HTTP
-blob relay over its Hessian tier; workers pull tasks, run the same pure
-kernels a local executor would, and push :class:`JobOutcome`\\ s back. The
+job queue and a fleet-wide in-flight book with expiring leases; workers
+pull tasks, run the same pure kernels a local executor would (each builds
+the Hessians its own tasks need), and push :class:`JobOutcome`\\ s back. The
 submitter is just ``run_sweep(..., executor="remote")`` — results are
 bit-identical to serial because every job re-derives its RNG seed from its
 own content hash, no matter which host runs it.
@@ -37,7 +37,7 @@ sweep = SweepSpec(
 )
 
 with tempfile.TemporaryDirectory() as tmp:
-    # 1. The coordinator: queue + leases + blob relay, on a free port.
+    # 1. The coordinator: queue + leases, on a free port.
     server, _ = start_in_thread(
         port=0, cache_dir=os.path.join(tmp, "coordinator"), lease_s=30.0
     )

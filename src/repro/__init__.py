@@ -9,7 +9,7 @@ Subpackages:
                    handling, N:M redistribution pruning, packing)
     methods      — the first-class quantization-method API: MethodSpec
                    capability registry, Quantizer lifecycle, HessianBundle
-                   resources and the two-tier HessianStore
+                   resources and the in-memory HessianStore
     baselines    — RTN, GPTQ, AWQ, SmoothQuant, OmniQuant, Atom, SDQ,
                    OliVe, GOBO + the Omni-MicroScopiQ combination
     models       — synthetic FM substrates (transformer LM, VLM, CNN, SSM)

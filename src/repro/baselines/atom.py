@@ -33,7 +33,8 @@ def quantize_atom(
     A precomputed ``hessian`` (raw ``H`` or a store-provided
     :class:`~repro.methods.resources.HessianBundle`) skips the ``X^T X``
     build (``damp_ratio`` then rides the bundle); the channel ordering
-    still reads the raw calibration magnitudes.
+    still reads the raw calibration magnitudes. Calibration inputs whose
+    width is not the layer's ``d_in`` raise ``ValueError``.
     """
     w = np.asarray(weights, dtype=np.float64)
     d_in = w.shape[1]
@@ -42,6 +43,11 @@ def quantize_atom(
         order = np.arange(d_in)
     else:
         x = np.asarray(calib_inputs, dtype=np.float64)
+        if x.shape[-1] != d_in:
+            raise ValueError(
+                f"atom: calibration inputs are {x.shape[-1]} wide, but the "
+                f"layer has {d_in} input columns"
+            )
         bundle = (
             HessianBundle.wrap(hessian)
             if hessian is not None

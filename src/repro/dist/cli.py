@@ -53,7 +53,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub.add_parser(
         "coordinator",
         add_help=False,  # the coordinator owns its own argparse + help
-        help="run the fleet coordinator (queue + claims + blob relay)",
+        help="run the fleet coordinator (queue + claims)",
     )
 
     worker = sub.add_parser("worker", help="run one pull/execute/push worker")

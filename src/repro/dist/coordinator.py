@@ -1,6 +1,6 @@
-"""The ``repro-dist coordinator``: fleet-wide queue, claims, and blob relay.
+"""The ``repro-dist coordinator``: fleet-wide queue and claims.
 
-One stdlib :class:`~http.server.ThreadingHTTPServer` owning three things:
+One stdlib :class:`~http.server.ThreadingHTTPServer` owning two things:
 
 * the **task queue** — submitted tasks (jobs / hw stages, already in wire
   form) waiting for a worker to pull them;
@@ -10,11 +10,9 @@ One stdlib :class:`~http.server.ThreadingHTTPServer` owning three things:
   worker dies), or *done*. Submitting an already-known key attaches to the
   existing entry instead of queuing duplicate work, and the coordinator's
   own :class:`~repro.pipeline.cache.ResultCache` answers keys whole past
-  runs already computed;
-* the **blob relay** — an HTTP face over the coordinator's Hessian blob
-  tier (:class:`~repro.pipeline.cache.BlobStore` protocol, including the
-  claim primitive), so workers without shared disk still coalesce on one
-  Hessian build per fingerprint fleet-wide.
+  runs already computed.
+
+Hessians are not relayed: each worker builds the ones its tasks need.
 
 Work-stealing is pull-based: workers ask for the next task, so a fast host
 simply pulls more often — no placement logic, no static sharding. A killed
@@ -48,7 +46,7 @@ from urllib.parse import unquote, urlparse
 
 from .. import __version__
 from ..obs.metrics import METRICS
-from ..pipeline.cache import ResultCache, make_blob_store
+from ..pipeline.cache import ResultCache
 from ..serve.server import TOKEN_ENV, _LOOPBACK_HOSTS, _authorized
 
 __all__ = [
@@ -63,48 +61,6 @@ DEFAULT_PORT = 8643
 
 #: Default seconds a worker may hold a pulled task without renewing.
 DEFAULT_LEASE_S = 30.0
-
-
-class _MemoryBlobStore:
-    """In-memory :class:`BlobStore` for cache-less coordinators (tests)."""
-
-    def __init__(self) -> None:
-        self._blobs: Dict[str, bytes] = {}
-        self._claims: Dict[str, float] = {}
-        self._lock = threading.Lock()
-
-    def get(self, key: str) -> Optional[bytes]:
-        with self._lock:
-            return self._blobs.get(key)
-
-    def put(self, key: str, data: bytes) -> None:
-        with self._lock:
-            self._blobs[key] = bytes(data)
-
-    def claim(self, key: str, ttl: float = 60.0) -> bool:
-        now = time.time()
-        with self._lock:
-            held = self._claims.get(key)
-            if held is not None and now - held <= ttl:
-                return False
-            self._claims[key] = now
-            return True
-
-    def release(self, key: str) -> None:
-        with self._lock:
-            self._claims.pop(key, None)
-
-    def clean(self, older_than: Optional[float] = None) -> int:
-        now = time.time()
-        with self._lock:
-            if older_than is None:
-                removed = len(self._blobs)
-                self._blobs.clear()
-                self._claims.clear()
-                return removed
-            # Memory blobs carry no timestamps; age-based clean keeps them.
-            _ = now
-            return 0
 
 
 class _TaskEntry:
@@ -133,19 +89,10 @@ class Coordinator:
         self,
         cache_dir: Optional[str] = None,
         lease_s: float = DEFAULT_LEASE_S,
-        hessian_tier: str = "",
     ):
         self.epoch = secrets.token_hex(8)
         self.lease_s = float(lease_s)
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
-        self.blobs = (
-            make_blob_store(self.cache.hessian_tier_target())
-            if self.cache is not None
-            else _MemoryBlobStore()
-        )
-        #: Tier target advertised to workers on pull. Empty means "this
-        #: coordinator's blob relay" — the server fills in its own URL.
-        self.hessian_tier = hessian_tier
         self._lock = threading.Lock()
         self._tasks: Dict[str, _TaskEntry] = {}
         self._queue: deque = deque()
@@ -224,7 +171,6 @@ class Coordinator:
                     "traced": entry.traced,
                     "lease_id": entry.lease_id,
                     "lease_s": self.lease_s,
-                    "hessian_tier": self.hessian_tier,
                 }
             return {"epoch": self.epoch, "key": None, "task": None}
 
@@ -335,11 +281,6 @@ class CoordinatorServer(ThreadingHTTPServer):
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
-    def advertised_tier(self) -> str:
-        """What workers should export as ``REPRO_HESSIAN_DIR``: an explicit
-        override, else this coordinator's own blob relay."""
-        return self.core.hessian_tier or self.url
-
 
 class _Handler(BaseHTTPRequestHandler):
     server: CoordinatorServer
@@ -388,7 +329,6 @@ class _Handler(BaseHTTPRequestHandler):
                     "ok": True,
                     "version": __version__,
                     "epoch": self.server.core.epoch,
-                    "hessian_tier": self.server.advertised_tier(),
                     **self.server.core.stats(),
                 })
             if parts == ["metrics"]:
@@ -399,28 +339,8 @@ class _Handler(BaseHTTPRequestHandler):
                 return self._send(
                     200, ("\n".join(lines) + "\n").encode(), "text/plain; charset=utf-8"
                 )
-            if len(parts) == 3 and parts[:2] == ["api", "blobs"]:
-                data = self.server.core.blobs.get(parts[2])
-                if data is None:
-                    return self._error(404, f"no blob {parts[2]!r}")
-                return self._send(200, data, "application/octet-stream")
             return self._error(404, f"unknown path {self.path!r}")
         except Exception as exc:  # one bad request must not kill the thread
-            try:
-                self._error(500, f"{type(exc).__name__}: {exc}")
-            except OSError:
-                pass
-
-    def do_PUT(self) -> None:  # noqa: N802
-        try:
-            parts = self._parts()
-            if len(parts) == 3 and parts[:2] == ["api", "blobs"]:
-                if not _authorized(self):
-                    return
-                self.server.core.blobs.put(parts[2], self._read_body())
-                return self._json(200, {"ok": True})
-            return self._error(404, f"unknown path {self.path!r}")
-        except Exception as exc:
             try:
                 self._error(500, f"{type(exc).__name__}: {exc}")
             except OSError:
@@ -441,13 +361,7 @@ class _Handler(BaseHTTPRequestHandler):
                         return self._error(400, "body needs a 'tasks' list")
                     return self._json(200, core.submit(tasks))
                 if action == "pull":
-                    reply = core.pull(str(body.get("worker", "")))
-                    if reply.get("key") is not None and not reply.get("hessian_tier"):
-                        # No explicit tier override: advertise this
-                        # coordinator's own blob relay so every worker
-                        # coalesces on one shared Hessian tier.
-                        reply["hessian_tier"] = self.server.advertised_tier()
-                    return self._json(200, reply)
+                    return self._json(200, core.pull(str(body.get("worker", ""))))
                 if action == "renew":
                     code, payload = core.renew(
                         str(body.get("key", "")),
@@ -473,22 +387,6 @@ class _Handler(BaseHTTPRequestHandler):
                         return self._error(400, "body needs a 'keys' list")
                     return self._json(200, core.collect([str(k) for k in keys]))
                 return self._error(404, f"unknown task action {action!r}")
-            if parts[:2] == ["api", "blobs"] and len(parts) == 4:
-                key, action = parts[2], parts[3]
-                body = self._read_json()
-                if action == "claim":
-                    ttl = float(body.get("ttl", 60.0))
-                    return self._json(
-                        200, {"owner": bool(core.blobs.claim(key, ttl))}
-                    )
-                if action == "release":
-                    core.blobs.release(key)
-                    return self._json(200, {"ok": True})
-                return self._error(404, f"unknown blob action {action!r}")
-            if parts == ["api", "blobs", "clean"]:
-                body = self._read_json()
-                removed = core.blobs.clean(body.get("older_than"))
-                return self._json(200, {"removed": removed})
             if parts == ["api", "shutdown"]:
                 self._json(200, {"ok": True})
                 threading.Thread(target=self.server.shutdown, daemon=True).start()
@@ -511,7 +409,6 @@ def start_in_thread(
     port: int = 0,
     cache_dir: Optional[str] = None,
     lease_s: float = DEFAULT_LEASE_S,
-    hessian_tier: str = "",
     token: Optional[str] = None,
     quiet: bool = True,
 ) -> Tuple[CoordinatorServer, threading.Thread]:
@@ -524,11 +421,7 @@ def start_in_thread(
             f"{TOKEN_ENV} (or pass token=) to expose the coordinator beyond "
             f"loopback"
         )
-    core = Coordinator(
-        cache_dir=cache_dir,
-        lease_s=lease_s,
-        hessian_tier=hessian_tier,
-    )
+    core = Coordinator(cache_dir=cache_dir, lease_s=lease_s)
     server = CoordinatorServer((host, port), core, quiet=quiet, token=token)
     thread = threading.Thread(
         target=server.serve_forever, name="repro-dist-coordinator", daemon=True
@@ -540,7 +433,7 @@ def start_in_thread(
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-dist coordinator",
-        description="Work-stealing sweep coordinator (queue + claims + blob relay).",
+        description="Work-stealing sweep coordinator (queue + claims).",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=DEFAULT_PORT)
@@ -552,12 +445,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--lease-s", type=float, default=DEFAULT_LEASE_S,
         help="seconds a worker may hold a task without renewing",
     )
-    parser.add_argument(
-        "--hessian-tier", default="",
-        help="Hessian tier advertised to workers (a shared directory path "
-             "or an http(s):// URL); default: this coordinator's own blob "
-             "relay",
-    )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
@@ -567,11 +454,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"refusing to bind {args.host!r} without authentication; set "
             f"{TOKEN_ENV} to expose the coordinator beyond loopback"
         )
-    core = Coordinator(
-        cache_dir=args.cache_dir,
-        lease_s=args.lease_s,
-        hessian_tier=args.hessian_tier,
-    )
+    core = Coordinator(cache_dir=args.cache_dir, lease_s=args.lease_s)
     server = CoordinatorServer(
         (args.host, args.port), core, quiet=not args.verbose, token=token
     )

@@ -16,10 +16,10 @@ worker's real responsibilities are the distributed-failure edges:
 * **attribution** — every outcome is stamped with this worker's fleet-wide
   identity (``host:pid-N``) and carries the counter delta the task produced
   here, whether or not tracing is on, so the submitter's merged telemetry
-  (and ``repro-sweep report``) adds up across hosts;
-* **the Hessian tier** — each pull carries the coordinator's advertised
-  tier target, exported as ``REPRO_HESSIAN_DIR`` before the kernel runs, so
-  all workers share one blob tier (and its fleet-wide build claims).
+  (and ``repro-sweep report``) adds up across hosts.
+
+Hessians are not shared between workers: each worker process keeps its own
+in-memory :class:`~repro.methods.resources.HessianStore`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import threading
 import time
 from typing import Any, Dict, Optional
 
-from ..methods.resources import HESSIAN_DIR_ENV
 from ..obs.metrics import METRICS
 from ..obs.trace import current_tracer, enable_tracing, set_tracer
 from ..pipeline.executor import _call
@@ -69,9 +68,6 @@ class DistWorker:
             raise ValueError(
                 f"task payload hashes to {derived!r}, not the queued {key!r}"
             )
-        tier = str(pulled.get("hessian_tier") or "")
-        if tier:
-            os.environ[HESSIAN_DIR_ENV] = tier
         prev_tracer = current_tracer()
         installed = False
         if bool(pulled.get("traced")) and prev_tracer is None:

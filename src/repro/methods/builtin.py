@@ -32,7 +32,7 @@ class BaselineAdapter:
     the owning :class:`MethodSpec` (``ctx.spec``): ``prepare`` asks the spec
     whether this setting wants a Hessian and what damping it would use, then
     resolves the bundle from the context's store so factor work coalesces
-    across layers, settings, and worker processes.
+    across layers and settings.
     """
 
     fn: Callable
@@ -48,7 +48,9 @@ class BaselineAdapter:
         ):
             damp = spec.damp_ratio(ctx.params)
             if ctx.hessian_store is not None:
-                bundle = ctx.hessian_store.bundle(ctx.calib_inputs, damp)
+                bundle = ctx.hessian_store.bundle(
+                    ctx.calib_inputs, damp, ctx.calib_digest
+                )
             else:
                 bundle = HessianBundle(ctx.calib_inputs, damp)
         return LayerResources(calib_inputs=ctx.calib_inputs, hessian=bundle)

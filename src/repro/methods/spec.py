@@ -22,9 +22,8 @@ CLI previously hard-coded per method:
 
 ``prepare`` is where per-layer environment acquisition lives: it consumes
 the layer's calibration activations and (for Hessian-aware methods) resolves
-a :class:`HessianBundle` from the engine's store, so the expensive factor
-work is shared across settings, threads, and — via the store's disk tier —
-worker processes.
+a :class:`HessianBundle` from the engine's in-memory store, so the expensive
+factor work is shared across layers, settings and jobs of one process.
 """
 
 from __future__ import annotations
@@ -114,7 +113,10 @@ class LayerContext:
     one-shot :meth:`MethodSpec.quantize` convenience) fills just the fields
     it has. ``params`` are the *validated* method parameters for this call.
     ``spec`` is the owning :class:`MethodSpec` — the single source of the
-    capability flags adapters consult in ``prepare``.
+    capability flags adapters consult in ``prepare``. ``calib_digest`` is
+    :meth:`HessianStore.digest` of ``calib_inputs`` when the engine has
+    already hashed them (``None`` otherwise), so the store need not hash
+    them again.
     """
 
     name: str
@@ -126,6 +128,7 @@ class LayerContext:
     hessian_store: Optional[HessianStore] = None
     substrate: Optional[str] = None
     spec: Optional[MethodSpec] = None
+    calib_digest: Optional[str] = None
 
 
 @dataclass

@@ -19,6 +19,15 @@ The class exposes exactly what a PTQ framework needs:
 * weight overrides + per-linear activation fake-quantizers, which is how
   quantized variants are materialized without copying the model.
 
+A family's embedding and block weights are generated once per process
+(:func:`_family_weights`) and shared, read-only, by every model built from
+that profile: an in-place write to one raises ``ValueError`` instead of
+changing what later models read. Each model keeps its own ``weights`` dict,
+overrides, activation and key/value quantizers, and calibration record.
+The calibration inputs :meth:`TransformerLM.collect_calibration` returns
+are read-only too, and linears that read the same input (``wq``/``wk``/
+``wv``, ``w1``/``w3``) share one array.
+
 Each linear runs as one 2-D GEMM over the flattened ``[batch·seq, d]``
 input, and the elementwise ops (SiLU, softmax, the attention scale and
 mask, the SwiGLU product) run in place. Aliasing rule: an op writes in place
@@ -31,7 +40,9 @@ argument.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict, Iterable, Optional
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -89,9 +100,9 @@ class _Captured(Exception):
 
 
 class _Capture(dict):
-    """Inputs of the linears ``names`` (all of them when ``None``), in
-    forward order. The forward stops right after the last name's input is
-    taken, before that linear's matmul."""
+    """The input of each linear in ``names`` (all of them when ``None``), in
+    forward order; a forward runs each linear once. The forward stops right
+    after the last name's input is taken, before that linear's matmul."""
 
     def __init__(self, names: Optional[list] = None):
         super().__init__()
@@ -99,36 +110,54 @@ class _Capture(dict):
 
     def take(self, name: str, x: np.ndarray) -> None:
         if self.names is None or name in self.names:
-            self.setdefault(name, []).append(x.reshape(-1, x.shape[-1]))
+            self[name] = x
             if self.names is not None and name == self.names[-1]:
                 raise _Captured
 
 
+@lru_cache(maxsize=16)
+def _family_weights(
+    profile: FamilyProfile,
+) -> Tuple[np.ndarray, Mapping[str, np.ndarray]]:
+    """``(embed, block weights)`` of ``profile``, generated from its seed.
+
+    Cached per process and read-only, the mapping as well as the arrays:
+    every :class:`TransformerLM` of the family reads the same arrays. The
+    cache holds every registered LM and VLM profile, so a sweep over all
+    families builds each once."""
+    d, ff, v = profile.d_model, profile.d_ff, profile.vocab
+    rng = np.random.default_rng(profile.seed)
+    embed = rng.normal(0.0, 1.0, (v, d)) * (3.0 / np.sqrt(d))
+    weights: Dict[str, np.ndarray] = {}
+    opct, apct = profile.outlier_pct, profile.adjacent_pct
+    for i in range(profile.n_layers):
+        for name, shape in [
+            ("wq", (d, d)),
+            ("wk", (d, d)),
+            ("wv", (d, d)),
+            ("wo", (d, d)),
+            ("w1", (ff, d)),
+            ("w3", (ff, d)),
+            ("w2", (d, ff)),
+        ]:
+            weights[f"layers.{i}.{name}"] = make_weight(
+                shape[0], shape[1], rng, opct, apct
+            )
+    for array in (embed, *weights.values()):
+        array.flags.writeable = False
+    return embed, MappingProxyType(weights)
+
+
 class TransformerLM:
-    """Decoder-only LM over a ``FamilyProfile``; weights are plain ndarrays."""
+    """Decoder-only LM over a ``FamilyProfile``; weights are plain ndarrays,
+    shared read-only with every other model of the same profile."""
 
     def __init__(self, profile: FamilyProfile, max_len: int = 128):
         self.profile = profile
         self.max_len = max_len
-        d, ff, v = profile.d_model, profile.d_ff, profile.vocab
-        rng = np.random.default_rng(profile.seed)
-        self.embed = rng.normal(0.0, 1.0, (v, d)) * (3.0 / np.sqrt(d))
-        self.pos = _sinusoidal_positions(max_len, d)
-        self.weights: Dict[str, np.ndarray] = {}
-        opct, apct = profile.outlier_pct, profile.adjacent_pct
-        for i in range(profile.n_layers):
-            for name, shape, gain in [
-                ("wq", (d, d), 1.0),
-                ("wk", (d, d), 1.0),
-                ("wv", (d, d), 1.0),
-                ("wo", (d, d), 1.0),
-                ("w1", (ff, d), 1.0),
-                ("w3", (ff, d), 1.0),
-                ("w2", (d, ff), 1.0),
-            ]:
-                self.weights[f"layers.{i}.{name}"] = make_weight(
-                    shape[0], shape[1], rng, opct, apct, gain
-                )
+        self.embed, weights = _family_weights(profile)
+        self.pos = _sinusoidal_positions(max_len, profile.d_model)
+        self.weights: Dict[str, np.ndarray] = dict(weights)
         # Overrides hold quantized replacements; act quantizers fake-quantize
         # each linear's input. Both default to identity (full precision).
         self.overrides: Dict[str, np.ndarray] = {}
@@ -293,6 +322,10 @@ class TransformerLM:
         from the embedding. A resumed collection thus performs the same
         operations on the same arrays as a full forward, and its
         activations are bit-identical to the full collection's.
+
+        Each returned array is a read-only ``[tokens, d_in]`` view of the
+        input the forward fed its linear; linears fed the same input
+        (``wq``/``wk``/``wv``, ``w1``/``w3``) get the same array.
         """
         return self._calibrate(
             tokens, lambda: self.embed[np.atleast_2d(tokens)], names
@@ -311,9 +344,14 @@ class TransformerLM:
             self._forward_embeddings(embed(), capture)
         else:
             capture = self._resume(key, embed, names)
-        return {
-            name: np.concatenate(chunks, axis=0) for name, chunks in capture.items()
-        }
+        acts: Dict[str, np.ndarray] = {}
+        x = flat = None
+        for name, taken in capture.items():
+            if taken is not x:
+                x, flat = taken, taken.reshape(-1, taken.shape[-1])
+                flat.flags.writeable = False
+            acts[name] = flat
+        return acts
 
     def _resume(
         self, key: object, embed: Callable[[], np.ndarray], names: Iterable[str]

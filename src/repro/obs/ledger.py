@@ -352,9 +352,8 @@ def render_run(record: Dict[str, Any], slowest: int = 8) -> List[str]:
         ("engine.", "engine"),
         # How many quantize_matrix calls the MicroScopiQ kernel served.
         ("quant.kernel.", "kernel"),
-        # Fleet activity (remote executor) and blob-tier claim traffic.
+        # Fleet activity (remote executor).
         ("dist.", "dist"),
-        ("cache.backend.", "blob-claims"),
     ):
         row = {
             k[len(prefix):]: v for k, v in sorted(counters.items()) if k.startswith(prefix)

@@ -6,8 +6,8 @@ ad-hoc telemetry dict entries — and evaporated with the objects that owned
 them. :data:`METRICS` is the process-wide :class:`MetricsRegistry` those
 subsystems now *also* publish into, under stable dotted names::
 
-    hessian.store.hits / disk_hits / misses / h_builds /
-                  inversions / factorizations
+    hessian.store.hits / misses / h_builds / inversions /
+                  factorizations
     result_cache.hits / misses / puts
     engine.models / groups / layers / calibration_passes /
            layer_batches / batched_layers
@@ -55,8 +55,7 @@ class MetricsRegistry:
     # ------------------------------------------------------------- updates
     def incr(self, name: str, amount: float = 1) -> float:
         """Add ``amount`` to counter ``name`` (created at 0); returns the
-        new value. Negative amounts are allowed — the Hessian store uses one
-        to reclassify a corrupt-blob disk hit as a miss."""
+        new value. Negative amounts are allowed."""
         with self._lock:
             value = self._counters.get(name, 0) + amount
             self._counters[name] = value

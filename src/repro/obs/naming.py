@@ -54,7 +54,6 @@ SPAN_NAMES = frozenset({
 METRIC_NAMES = frozenset({
     # Hessian store (repro.methods.resources)
     "hessian.store.hits",
-    "hessian.store.disk_hits",
     "hessian.store.misses",
     "hessian.store.h_builds",
     "hessian.store.inversions",
@@ -81,9 +80,6 @@ METRIC_NAMES = frozenset({
     # sweep service (repro.serve.server / repro.serve.client)
     "serve.auth.rejected",
     "serve.client.retries",
-    # Hessian-tier build claims (repro.pipeline.cache / repro.methods.resources)
-    "cache.backend.claims_broken",
-    "cache.backend.claim_waits",
     # distributed execution (repro.dist)
     "dist.coordinator.tasks_queued",
     "dist.coordinator.tasks_completed",

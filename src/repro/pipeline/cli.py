@@ -724,7 +724,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if any(hs.values()):
         stages += (
             f" · hessian: {hs.get('hits', 0)} hits, "
-            f"{hs.get('disk_hits', 0)} disk, {hs.get('misses', 0)} misses, "
+            f"{hs.get('misses', 0)} misses, "
             f"{hs.get('factorizations', 0)} factorizations"
         )
     print(
@@ -821,19 +821,14 @@ def _cmd_clean(args: argparse.Namespace) -> int:
     older_than = args.older_than
     if args.max_age_hours is not None:
         older_than = args.max_age_hours * 3600.0
-    from ..methods.resources import HessianStore
-
     from ..obs import RunLedger
 
     cache = ResultCache(args.cache_dir)
     removed = cache.clean(older_than=older_than)
-    # The Hessian blob tier lives beside the records, under the same policy.
-    blobs = HessianStore.clean_disk(cache.hessian_tier_target(), older_than=older_than)
     # The run ledger ages out under the same policy too — otherwise
     # runs.jsonl grows without bound while the results it indexes vanish.
     ledger_removed = RunLedger(cache.root / "runs").compact(older_than=older_than)
     print(f"removed {removed} cached results from {cache.root}"
-          + (f" and {blobs} hessian blobs" if blobs else "")
           + (f"; compacted {ledger_removed} ledger records" if ledger_removed
              else ""))
     return 0

@@ -47,7 +47,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple, Union
 
-from ..methods.resources import HESSIAN_DIR_ENV
 from ..obs.ledger import RunLedger
 from ..obs.metrics import METRICS, merge_deltas
 from ..obs.trace import NULL_SPAN, current_tracer
@@ -634,18 +633,6 @@ class SweepScheduler:
         workers: Optional[int] = opts["workers"]
         kernel = opts["kernel"]
         cache = ResultCache(self.cache_dir) if self.cache_dir is not None else None
-        if cache is not None:
-            # Point the process-wide Hessian store's disk tier next to the
-            # result cache — through the environment, so process-pool workers
-            # inherit it and share Hessian work across processes and runs.
-            # Deliberately left set after the sweep: later jobs of the same
-            # session keep hitting the shared tier.
-            os.environ[HESSIAN_DIR_ENV] = cache.hessian_tier_target()
-        else:
-            # No result cache ⇒ no disk tier either: a stale export from an
-            # earlier sweep would silently resurrect that sweep's (possibly
-            # deleted) cache directory with orphaned blobs.
-            os.environ.pop(HESSIAN_DIR_ENV, None)
         tracer = current_tracer()
         started_at = time.time()
         counters_before = METRICS.snapshot()
@@ -707,8 +694,7 @@ class SweepScheduler:
         telemetry["hessian"] = {
             key: int(counters.get(f"hessian.store.{key}", 0))
             for key in (
-                "hits", "disk_hits", "misses", "h_builds", "inversions",
-                "factorizations",
+                "hits", "misses", "h_builds", "inversions", "factorizations",
             )
         }
         spans_tree = None

@@ -20,16 +20,17 @@ lifecycle. It improves on the naive per-layer walk in three ways:
   activations and the damping — not on bits or method knobs — so methods
   whose spec declares ``needs_hessian`` receive a lazy
   :class:`~repro.methods.resources.HessianBundle` resolved through their
-  ``prepare`` step from a content-fingerprinted
+  ``prepare`` step from a content-fingerprinted, in-memory
   :class:`~repro.methods.resources.HessianStore`. Layers sharing a group
   share activations and therefore one bundle; the bundle's inverse/Cholesky
-  factors compute once per calibration rather than once per setting, and
-  the store's optional disk tier extends the sharing to worker *processes*.
+  factors compute once per calibration rather than once per setting.
 
 * **Shape batching.** Same-shape members of a group that share their
   calibration inputs are row-stacked into one kernel call for methods whose
   spec declares ``row_batchable``, and split back per layer — bit-identical
-  to quantizing them one by one.
+  to quantizing them one by one. Finding them hashes each distinct
+  calibration array of the group once, and that digest rides to the
+  Hessian store, which therefore does not hash the array again.
 
 Layers quantize in forward order on the calling thread, each inside
 :data:`repro.pipeline.executor.ONE_BLAS_THREAD`, so a direct call gives the
@@ -123,6 +124,7 @@ class _LayerTask:
     name: str
     weights: np.ndarray
     acts: np.ndarray
+    digest: Optional[str] = None  # HessianStore.digest(acts), once known
 
 
 @dataclass
@@ -141,6 +143,7 @@ class _BatchTask:
     weights: np.ndarray  # vstack of the member layers' weights
     acts: np.ndarray  # the shared calibration inputs
     sizes: List[int]  # member d_out's, in `names` order
+    digest: Optional[str] = None  # HessianStore.digest(acts)
 
     @property
     def name(self) -> str:
@@ -151,16 +154,21 @@ def _coalesce_tasks(tasks: List[_LayerTask]) -> List[Any]:
     """Group same-(d_in, calibration) layers into :class:`_BatchTask`\\ s.
 
     Singleton groups stay plain :class:`_LayerTask`\\ s. The calibration key
-    is a content fingerprint, not an identity check, so substrates that
-    return equal-but-distinct activation arrays per layer still coalesce.
+    is a content digest, not an identity check, so substrates that return
+    equal-but-distinct activation arrays per layer still coalesce. Each
+    distinct array object is hashed once (its digest is kept on the tasks
+    for the Hessian store), and a single task is not hashed at all.
     """
+    if len(tasks) < 2:
+        return list(tasks)
+    hashed: List[Any] = []  # (array, digest) per distinct array object
     buckets: Dict[Any, List[_LayerTask]] = {}
     for task in tasks:
-        key = (
-            task.weights.shape[1],
-            HessianStore.fingerprint(task.acts, 0.0),
-        )
-        buckets.setdefault(key, []).append(task)
+        task.digest = next((d for a, d in hashed if a is task.acts), None)
+        if task.digest is None:
+            task.digest = HessianStore.digest(task.acts)
+            hashed.append((task.acts, task.digest))
+        buckets.setdefault((task.weights.shape[1], task.digest), []).append(task)
     units: List[Any] = []
     for members in buckets.values():
         if len(members) < 2:
@@ -172,6 +180,7 @@ def _coalesce_tasks(tasks: List[_LayerTask]) -> List[Any]:
                 weights=np.vstack([t.weights for t in members]),
                 acts=members[0].acts,
                 sizes=[t.weights.shape[0] for t in members],
+                digest=members[0].digest,
             )
         )
     return units
@@ -207,6 +216,7 @@ def _make_layer_kernel(
             hessian_store=store,
             substrate=substrate,
             spec=spec,
+            calib_digest=task.digest,
         )
         resources = quantizer.prepare(ctx)
         return quantizer.quantize_layer(task.weights, resources, **call)
@@ -253,8 +263,8 @@ def quantize_model(
             the progressively quantized model (GPTQ-style; the reference
             semantics); ``"parallel"`` calibrates everything once on the FP
             model (the paper's parallel-calibration ablation).
-        hessian_store: Hessian memo; defaults to the process-wide store
-            (whose disk tier attaches from ``REPRO_HESSIAN_DIR``).
+        hessian_store: Hessian memo; defaults to the process-wide
+            in-memory store.
         groups: calibration groups override; defaults to the substrate
             registry's grouping (singletons for unregistered models).
 

@@ -199,6 +199,14 @@ class TestAtom:
         res = METHODS["atom"].quantize(weights, calib, bits=4, act_bits=8)
         assert "act_quantizer" in res.meta
 
+    @pytest.mark.parametrize("width", [48, 80])
+    def test_calibration_width_must_match_layer(self, width):
+        rng = np.random.default_rng(0)
+        w = rng.normal(0, 1, (16, 64))
+        x = rng.normal(0, 1, (40, width))
+        with pytest.raises(ValueError, match=f"{width} wide.* 64 input columns"):
+            get_method("atom").quantize(w, x, bits=4)
+
 
 class TestSmoothQuant:
     def test_act_quantizer_present(self, weights, calib):

@@ -1,13 +1,11 @@
-"""The result store and the Hessian tier's blob stores.
+"""The result store, and the absence of a Hessian disk tier.
 
 The contract under test: :class:`ResultCache` keeps one sorted-JSON file per
 record at ``<root>/<hh>/<hash>.json`` — same records in, same records out,
 atomic under concurrent writers, and a record holding a non-finite number is
-never written. The blob-store side carries the fleet-coordination load:
-``claim``/``release`` must hand one Hessian build to exactly one of N
-concurrent stores, with stale claims (a crashed owner) broken after the TTL
-rather than waited on forever. Storage has no setting: ``--cache-backend``
-and ``sqlite://`` tier targets are refused outright.
+never written. Storage has no setting: ``--cache-backend`` is refused
+outright. Hessians live only in memory: a sweep writes no ``hessians/``
+directory, ignores ``REPRO_HESSIAN_DIR``, and never reads an old one.
 """
 
 from __future__ import annotations
@@ -24,17 +22,11 @@ import numpy as np
 import pytest
 
 import repro
-from repro.dist import start_in_thread
 from repro.dist.cli import main as dist_main
-from repro.dist.client import HttpBlobStore
-from repro.methods.resources import HESSIAN_DIR_ENV, HessianStore, default_hessian_store
+from repro.methods import resources
 from repro.obs import METRICS
-from repro.pipeline.cache import (
-    BlobStore,
-    DirectoryBlobStore,
-    ResultCache,
-    make_blob_store,
-)
+from repro.pipeline import SweepSpec, run_sweep
+from repro.pipeline.cache import ResultCache
 from repro.pipeline.cli import main as sweep_main
 
 H1 = "a" * 16
@@ -147,10 +139,6 @@ class TestBackendParity:
         cache.put(H1, record("fixed"))
         assert cache.get(H1)["label"] == "fixed"
 
-    def test_protocol_conformance(self, tmp_path):
-        assert isinstance(DirectoryBlobStore(tmp_path / "b"), BlobStore)
-        assert isinstance(HttpBlobStore("http://127.0.0.1:1"), BlobStore)
-
 
 class TestNonFiniteRefused:
     """A NaN or infinite number never reaches the store, so it never replays."""
@@ -190,22 +178,6 @@ class TestBackendResolution:
         cache.put(H1, record("a"))
         assert cache.stats()["entries"] == 1
         assert [r["label"] for r in cache.entries()] == ["a"]
-
-    def test_unknown_backend_raises(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        for target in ("sqlite:///x.db", "sqlite://hessians.db", "s3://bucket/tier"):
-            with pytest.raises(ValueError, match="unsupported Hessian-tier target"):
-                make_blob_store(target)
-        # A stale tier export fails loudly instead of creating ./sqlite:/
-        monkeypatch.setenv(HESSIAN_DIR_ENV, "sqlite:///x.db")
-        with pytest.raises(ValueError, match="unsupported"):
-            default_hessian_store()
-        monkeypatch.delenv(HESSIAN_DIR_ENV)
-        default_hessian_store()
-        assert list(tmp_path.iterdir()) == []
-
-    def test_hessian_tier_target_matches_backend(self, tmp_path):
-        assert ResultCache(tmp_path).hessian_tier_target() == str(tmp_path / "hessians")
 
     @pytest.mark.parametrize("command", ["sweep", "show", "clean"])
     def test_cache_backend_flag_is_gone(self, tmp_path, command):
@@ -269,92 +241,57 @@ class TestConcurrentWriters:
         assert tmp_files(cache.root) == []
 
 
-# --------------------------------------------------------------- blob stores
+# ------------------------------------------------------------ no Hessian tier
+
+GPTQ_SWEEP = dict(
+    families=("opt-6.7b",), methods=("gptq",), w_bits=(4,),
+    eval_sequences=8, eval_seq_len=24,
+)
 
 
-@pytest.fixture
-def relay(tmp_path):
-    """A coordinator's blob relay over a directory tier."""
-    server, _ = start_in_thread(port=0, cache_dir=str(tmp_path / "coord"))
-    yield server.url
-    server.shutdown()
+def cold_sweep(cache_dir, monkeypatch, **kw):
+    """A serial GPTQ sweep on a fresh process-wide Hessian store, so its
+    Hessians are built (or loaded) rather than hit in memory."""
+    monkeypatch.setattr(resources, "_DEFAULT_STORE", resources.HessianStore())
+    return run_sweep(
+        SweepSpec(**GPTQ_SWEEP), cache_dir=str(cache_dir), executor="serial", **kw
+    )
 
 
-@pytest.fixture(params=["dir", "http"])
-def blobs(request, tmp_path):
-    if request.param == "dir":
-        return DirectoryBlobStore(tmp_path / "blobs")
-    return HttpBlobStore(request.getfixturevalue("relay"))
+def metrics_of(result) -> list:
+    return [o.metrics for o in result.outcomes]
 
 
-class TestBlobStores:
-    def test_get_put_round_trip(self, blobs):
-        assert blobs.get("ab" * 8) is None
-        blobs.put("ab" * 8, b"\x01\x02")
-        assert blobs.get("ab" * 8) == b"\x01\x02"
+class TestNoHessianTier:
+    """Hessians live in memory only: nothing under the cache, nothing from
+    ``REPRO_HESSIAN_DIR``, and an old ``hessians/`` directory is ignored."""
 
-    def test_claim_is_exclusive_until_released(self, blobs):
-        assert blobs.claim("abcd:h") is True
-        assert blobs.claim("abcd:h") is False
-        blobs.release("abcd:h")
-        assert blobs.claim("abcd:h") is True
+    def test_cold_sweep_writes_no_hessian_directory(self, tmp_path, monkeypatch):
+        result = cold_sweep(tmp_path, monkeypatch)
+        assert result.telemetry["hessian"]["h_builds"] >= 1
+        assert not (tmp_path / "hessians").exists()
 
-    def test_stale_claim_is_broken(self, blobs):
-        assert blobs.claim("abcd:h", ttl=0.05) is True
-        time.sleep(0.1)
-        before = METRICS.snapshot()
-        assert blobs.claim("abcd:h", ttl=0.05) is True  # broken, re-owned
-        assert METRICS.delta(before).get("cache.backend.claims_broken") == 1
+    @pytest.mark.parametrize("target", ["path", "sqlite:///x.db"])
+    def test_hessian_dir_env_is_read_by_nothing(self, tmp_path, monkeypatch, target):
+        monkeypatch.chdir(tmp_path)
+        reference = cold_sweep(tmp_path / "ref", monkeypatch)
+        env = str(tmp_path / "tier") if target == "path" else target
+        monkeypatch.setenv("REPRO_HESSIAN_DIR", env)
+        result = cold_sweep(tmp_path / "env", monkeypatch)
+        assert metrics_of(result) == metrics_of(reference)
+        assert result.telemetry["hessian"] == reference.telemetry["hessian"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["env", "ref"]
+        for cache in ("env", "ref"):
+            assert not (tmp_path / cache / "hessians").exists()
 
-    def test_clean_removes_blobs(self, blobs):
-        blobs.put("ab" * 8, b"x")
-        blobs.put("cd" * 8, b"y")
-        assert blobs.clean() == 2
-        assert blobs.get("ab" * 8) is None
-
-    def test_age_based_clean_keeps_fresh(self, blobs):
-        blobs.put("ab" * 8, b"x")
-        assert blobs.clean(older_than=3600.0) == 0
-        assert blobs.get("ab" * 8) == b"x"
-
-
-class TestMakeBlobStore:
-    def test_target_routing(self, tmp_path):
-        assert isinstance(make_blob_store(tmp_path / "t"), DirectoryBlobStore)
-        assert isinstance(make_blob_store(str(tmp_path / "t")), DirectoryBlobStore)
-        assert isinstance(make_blob_store("http://127.0.0.1:1"), HttpBlobStore)
-
-    def test_store_instance_passes_through(self, tmp_path):
-        store = DirectoryBlobStore(tmp_path / "t")
-        assert make_blob_store(store) is store
-
-
-# -------------------------------------------------- fleet-wide coalescing
-
-
-class TestClaimCoalescing:
-    """Independent HessianStores over one shared tier: one build total."""
-
-    @pytest.mark.parametrize("tier_kind", ["dir", "http"])
-    def test_concurrent_stores_build_once(self, request, tmp_path, tier_kind):
-        target = (
-            str(tmp_path / "tier")
-            if tier_kind == "dir"
-            else request.getfixturevalue("relay")
-        )
-        acts = np.random.default_rng(0).normal(0, 1, (96, 24))
-        stores = [HessianStore(disk_root=target) for _ in range(3)]
-        before = METRICS.snapshot()
-        results: list = [None] * len(stores)
-        barrier = threading.Barrier(len(stores), timeout=30)
-
-        def build(i: int) -> None:
-            barrier.wait()
-            results[i] = stores[i].bundle(acts, 0.01).h
-
-        run_threads(build, [(i,) for i in range(len(stores))])
-        delta = METRICS.delta(before)
-        # Claims made the race converge on exactly one O(n·d²) build,
-        # fleet-wide; the waiters adopted the published blob.
-        assert delta.get("hessian.store.h_builds") == 1
-        assert all(np.array_equal(r, results[0]) for r in results[1:])
+    def test_old_hessian_directory_is_ignored(self, tmp_path, monkeypatch):
+        first = cold_sweep(tmp_path, monkeypatch)
+        blob = tmp_path / "hessians" / "ab" / ("ab" * 32 + ".npz")
+        blob.parent.mkdir(parents=True, exist_ok=True)
+        np.savez(blob, **{"v1:h": np.eye(4)})
+        again = cold_sweep(tmp_path, monkeypatch, recompute=True)
+        assert metrics_of(again) == metrics_of(first)
+        assert again.telemetry["hessian"] == first.telemetry["hessian"]
+        assert sweep_main(["show", "--cache-dir", str(tmp_path)]) == 0
+        assert sweep_main(["clean", "--cache-dir", str(tmp_path)]) == 0
+        assert blob.exists()  # clean leaves the old directory alone

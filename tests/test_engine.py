@@ -9,6 +9,7 @@ sweep because the store computes each Hessian once.
 """
 
 import time
+import types
 
 import numpy as np
 import pytest
@@ -96,6 +97,44 @@ class TestHessianStore:
             t.join()
         assert store.misses == 1 and store.hits == 5
         assert all(r is results[0] for r in results)
+
+
+class TestHashOnce:
+    """The engine hashes each distinct calibration array of a multi-layer
+    group once and hands the digest to the Hessian store; a one-layer group
+    is hashed only by the store, and only for Hessian methods."""
+
+    @pytest.mark.parametrize("method, passes", [
+        ("gptq", 8), ("microscopiq", 8), ("rtn", 4),
+    ])
+    def test_sha256_passes_per_quantize_model(self, monkeypatch, method, passes):
+        from repro.methods import resources
+
+        calls = []
+        sha256 = resources.hashlib.sha256
+
+        def counting(*args, **kwargs):
+            calls.append(method)
+            return sha256(*args, **kwargs)
+
+        monkeypatch.setattr(resources, "hashlib", types.SimpleNamespace(sha256=counting))
+        quantize_model(build_model("opt-6.7b"), method, 4, hessian_store=HessianStore())
+        assert len(calls) == passes
+
+    def test_equal_but_distinct_calibration_still_batches(self):
+        from repro.quant.engine import _coalesce_tasks, _LayerTask
+
+        rng = np.random.default_rng(4)
+        acts = rng.normal(0, 1, (32, 8))
+        tasks = [
+            _LayerTask("a", rng.normal(0, 1, (4, 8)), acts),
+            _LayerTask("b", rng.normal(0, 1, (4, 8)), acts.copy()),
+            _LayerTask("c", rng.normal(0, 1, (4, 8)), acts[::-1].copy()),
+        ]
+        units = _coalesce_tasks(tasks)
+        assert [u.name for u in units] == ["a+b", "c"]
+        assert units[0].digest == HessianStore.digest(acts)
+        assert units[1].digest == HessianStore.digest(acts[::-1])
 
 
 def _prerefactor_serial_walk(model, method, w_bits, calib):

@@ -136,6 +136,70 @@ class TestTransformerLM:
         assert lm.sample(2, n + 1, np.random.default_rng(0)).shape == (2, n + 1)
 
 
+class TestPerProcessSharing:
+    """Every model of a family reads one read-only copy of its weights, and
+    linears fed the same input share one read-only calibration array."""
+
+    @pytest.mark.parametrize("family", ["opt-6.7b", "llama2-13b"])
+    def test_models_share_read_only_weights(self, family):
+        a, b = build_model(family), build_model(family, max_len=64)
+        assert a.embed is b.embed and a.weights is not b.weights
+        for name in a.linear_names:
+            assert a.weights[name] is b.weights[name], name
+        for array in (a.embed, *a.weights.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+        assert a.pos.shape[0] == 128 and b.pos.shape[0] == 64
+
+    def test_per_model_state_stays_apart(self):
+        a, b = build_model("opt-6.7b"), build_model("opt-6.7b")
+        tokens = np.zeros((1, 8), dtype=np.int64)
+        before = b.forward(tokens)
+        name = a.linear_names[0]
+        a.set_override(name, np.zeros_like(a.weights[name]))
+        a.act_quant[name] = ActivationQuantizer(None, 8)
+        a.kv_quant = _kv_round
+        a.collect_calibration(tokens, names=[a.linear_names[-1]])
+        assert b.overrides == {} and b.act_quant == {} and b.kv_quant is None
+        assert b._record is None and b._w(name) is b.weights[name]
+        assert np.array_equal(b.forward(tokens), before)
+        assert not np.array_equal(a.forward(tokens), before)
+
+    @pytest.mark.parametrize("family", sorted(MODEL_FAMILIES))
+    def test_shared_weights_equal_a_fresh_generation(self, family):
+        p = MODEL_FAMILIES[family]
+        d, ff = p.d_model, p.d_ff
+        shapes = {"wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
+                  "w1": (ff, d), "w3": (ff, d), "w2": (d, ff)}
+        rng = np.random.default_rng(p.seed)
+        embed = rng.normal(0.0, 1.0, (p.vocab, d)) * (3.0 / np.sqrt(d))
+        model = build_model(family)
+        assert np.array_equal(model.embed, embed)
+        for name in model.linear_names:  # forward order is generation order
+            rows, cols = shapes[name.rsplit(".", 1)[1]]
+            fresh = make_weight(rows, cols, rng, p.outlier_pct, p.adjacent_pct)
+            assert np.array_equal(model.weights[name], fresh), name
+
+    @pytest.mark.parametrize("family", ["opt-6.7b", "llama2-13b"])
+    def test_calibration_shares_one_read_only_array_per_input(self, family):
+        model = build_model(family)
+        calib = get_substrate("lm").calibration(model)
+        _, reference = _forward_reference(model, model.embed[calib])
+        full = model.collect_calibration(calib)
+        assert list(full) == list(reference)
+        for name, act in full.items():
+            assert not act.flags.writeable, name
+            assert np.array_equal(act, reference[name]), name
+        for i in range(model.profile.n_layers):
+            for group in (("wq", "wk", "wv"), ("w1", "w3")):
+                names = [f"layers.{i}.{n}" for n in group]
+                part = model.collect_calibration(calib, names=names)
+                for acts in (full, part):
+                    assert all(acts[n] is acts[names[0]] for n in names), names
+                assert not part[names[0]].flags.writeable
+                assert np.array_equal(part[names[0]], reference[names[0]])
+
+
 class TestCnn:
     def test_im2col_matches_direct_conv(self):
         """im2col GEMM must equal an explicit 3x3 same-pad convolution."""

@@ -479,8 +479,8 @@ class TestTracedSweepAcceptance:
             )
             assert hessian_activity > 0
         hess = result.telemetry["hessian"]
-        assert set(hess) == {"hits", "disk_hits", "misses", "h_builds",
-                             "inversions", "factorizations"}
+        assert set(hess) == {"hits", "misses", "h_builds", "inversions",
+                             "factorizations"}
         assert hess["h_builds"] + hess["hits"] > 0
 
     def test_warm_rerun_appends_untraced_fast_record(self, tmp_path):

@@ -525,16 +525,17 @@ class TestHessianMemoryContract:
         bundle.h
         assert bundle.acts is None
 
-    def test_disk_served_bundle_never_holds_acts(self, tmp_path):
+    def test_store_hit_bundle_holds_no_acts_once_h_is_built(self):
         from repro.methods.resources import HessianStore
 
         acts = np.random.default_rng(1).normal(0, 1, (64, 16))
-        first = HessianStore(disk_root=tmp_path)
-        first.bundle(acts, 0.01).h
-        second = HessianStore(disk_root=tmp_path)
-        bundle = second.bundle(acts, 0.01)
-        assert bundle.acts is None  # factors came from disk; nothing pinned
-        assert bundle.h_builds == 0
+        store = HessianStore()
+        first = store.bundle(acts, 0.01)
+        assert first.acts is acts  # held only until H is built
+        first.h
+        again = store.bundle(acts.copy(), 0.01)  # an equal matrix: a hit
+        assert again is first and again.acts is None  # nothing pinned
+        assert again.h_builds == 1 and store.hits == 1
 
 
 # ------------------------------------------------------------------- pareto
