@@ -9,7 +9,9 @@ block are quantization targets; embeddings and the head stay full precision
 The class exposes exactly what a PTQ framework needs:
 
 * :meth:`collect_calibration` — per-linear input activations from a
-  calibration batch (what GPTQ's Hessian is built from);
+  calibration batch (what GPTQ's Hessian is built from), taken from a
+  forward walk that can stop at any calibration group's input and resume
+  there;
 * :meth:`forward` / :meth:`logits` — teacher-forced evaluation;
 * :meth:`sample` — autoregressive sampling (used to build the synthetic
   evaluation corpus from the full-precision model itself), decoded with a
@@ -28,13 +30,16 @@ The calibration inputs :meth:`TransformerLM.collect_calibration` returns
 are read-only too, and linears that read the same input (``wq``/``wk``/
 ``wv``, ``w1``/``w3``) share one array.
 
-Each linear runs as one 2-D GEMM over the flattened ``[batch·seq, d]``
-input, and the elementwise ops (SiLU, softmax, the attention scale and
-mask, the SwiGLU product) run in place. Aliasing rule: an op writes in place
-only to a buffer its own function has just allocated — never to the
-residual stream ``h`` (the calibration resume record holds it), an input
-:class:`_Capture` has stored, a cached key or value, or a caller's
-argument.
+The decoder blocks are one generator walk (:meth:`TransformerLM._blocks`)
+that yields each calibration group's input before that group's matmuls;
+the forward, the cached decoding step and both calibration collections
+drain it. Each linear runs as one 2-D GEMM over the flattened
+``[batch·seq, d]`` input, and the elementwise ops (SiLU, softmax, the
+attention scale and mask, the SwiGLU product) run in place. Aliasing rule:
+an op writes in place only to a buffer its own function has just allocated
+— never to the residual stream ``h`` or an input the walk has yielded (a
+suspended walk and the returned calibration arrays hold them), a cached key
+or value, or a caller's argument.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -52,8 +57,9 @@ __all__ = ["TransformerLM", "build_model", "linear_names"]
 
 ActQuant = Callable[[np.ndarray], np.ndarray]
 
-#: The quantizable linears of one decoder block, in forward order.
-_BLOCK_LINEARS = ("wq", "wk", "wv", "wo", "w1", "w3", "w2")
+#: The quantizable linears of one decoder block, in forward order, by
+#: calibration group: the linears of a group read the same input.
+_BLOCK_GROUPS = (("wq", "wk", "wv"), ("wo",), ("w1", "w3"), ("w2",))
 
 
 def _rmsnorm(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -91,28 +97,26 @@ def _sinusoidal_positions(max_len: int, d_model: int) -> np.ndarray:
 
 def linear_names(n_layers: int) -> list[str]:
     """Names of every quantizable linear weight, in forward order."""
-    return [f"layers.{i}.{w}" for i in range(n_layers) for w in _BLOCK_LINEARS]
+    return list(_input_points(n_layers))
 
 
-class _Captured(Exception):
-    """Raised once the last input a targeted calibration waits for is
-    captured: the forward pass ends there."""
+@lru_cache(maxsize=16)
+def _input_points(n_layers: int) -> Mapping[str, int]:
+    """Each linear's name, in forward order, mapped to the index of the
+    :meth:`TransformerLM._blocks` yield that is its input."""
+    return MappingProxyType({
+        f"layers.{i}.{w}": len(_BLOCK_GROUPS) * i + g
+        for i in range(n_layers)
+        for g, group in enumerate(_BLOCK_GROUPS)
+        for w in group
+    })
 
 
-class _Capture(dict):
-    """The input of each linear in ``names`` (all of them when ``None``), in
-    forward order; a forward runs each linear once. The forward stops right
-    after the last name's input is taken, before that linear's matmul."""
-
-    def __init__(self, names: Optional[list] = None):
-        super().__init__()
-        self.names = names
-
-    def take(self, name: str, x: np.ndarray) -> None:
-        if self.names is None or name in self.names:
-            self[name] = x
-            if self.names is not None and name == self.names[-1]:
-                raise _Captured
+def _last(walk: Iterator[np.ndarray]) -> np.ndarray:
+    """Drain ``walk``; its last yield, the stream after the last block."""
+    for h in walk:
+        pass
+    return h
 
 
 @lru_cache(maxsize=16)
@@ -166,23 +170,18 @@ class TransformerLM:
         # applied per sequence to the attention K/V tensors (KIVI-style).
         self.kv_quant = None
         # Where targeted calibration resumes (see collect_calibration):
-        # (calibration input, block, residual stream entering the block,
-        # _inputs_before(block)) or None.
+        # (calibration input, suspended walk, the index of its last yield,
+        # _inputs_before(that index)) or None.
         self._record: Optional[tuple] = None
 
     # ---------------------------------------------------------------- utils
     def _w(self, name: str) -> np.ndarray:
         return self.overrides.get(name, self.weights[name])
 
-    def _linear(
-        self, name: str, x: np.ndarray, capture: Optional[_Capture]
-    ) -> np.ndarray:
-        """``x @ w.T`` for the linear ``name`` (see :func:`_dense`).
-        ``capture`` stores ``x`` itself, so nothing may write to ``x``
-        afterwards; the result is a new array that the caller may
-        overwrite."""
-        if capture is not None:
-            capture.take(name, x)
+    def _linear(self, name: str, x: np.ndarray) -> np.ndarray:
+        """``x @ w.T`` for the linear ``name`` (see :func:`_dense`), with
+        the weight and activation quantizer installed now; a new array that
+        the caller may overwrite."""
         aq = self.act_quant.get(name)
         if aq is not None:
             x = aq(x)
@@ -193,12 +192,10 @@ class TransformerLM:
         """Logits ``[batch, seq, vocab]`` for token ids ``[batch, seq]``."""
         return self._forward_embeddings(self.embed[np.atleast_2d(tokens)])
 
-    def _forward_embeddings(
-        self, h0: np.ndarray, capture: Optional[_Capture] = None
-    ) -> np.ndarray:
+    def _forward_embeddings(self, h0: np.ndarray) -> np.ndarray:
         """Logits for input embeddings ``[batch, seq, d_model]`` (the token
         lookup or the VLM's image/caption sequence); positions added here."""
-        h = self._blocks(self._stream(h0), 0, self.profile.n_layers, capture)
+        h = _last(self._blocks(self._stream(h0)))
         logits = _dense(_rmsnorm(h), self.embed)
         logits *= self.profile.logit_gain
         return logits
@@ -216,7 +213,7 @@ class TransformerLM:
         if self.kv_quant is not None:
             raise ValueError("cached decoding does not support kv_quant")
         past = cache[0][0].shape[2] if cache else 0
-        h = self._blocks(self._stream(h0, past), 0, self.profile.n_layers, cache=cache)
+        h = _last(self._blocks(self._stream(h0, past), cache))
         return (_rmsnorm(h[:, -1]) @ self.embed.T) * self.profile.logit_gain
 
     def _stream(self, h0: np.ndarray, offset: int = 0) -> np.ndarray:
@@ -231,15 +228,19 @@ class TransformerLM:
         return h0 + self.pos[offset:end][None, :, :]
 
     def _blocks(
-        self,
-        h: np.ndarray,
-        start: int,
-        stop: int,
-        capture: Optional[_Capture] = None,
-        cache: Optional[dict] = None,
-    ) -> np.ndarray:
-        """Decoder blocks ``start .. stop - 1`` over the residual stream
-        ``h``; returns the stream after block ``stop - 1``.
+        self, h: np.ndarray, cache: Optional[dict] = None
+    ) -> Iterator[np.ndarray]:
+        """Walk the decoder blocks over the residual stream ``h``: yield each
+        calibration group's input before any of that group's matmuls, four
+        per block (the normed input of ``wq``/``wk``/``wv``, the attention
+        context of ``wo``, the normed input of ``w1``/``w3`` and the SwiGLU
+        product of ``w2``), then the stream after the last block.
+
+        The walk reads each linear's weight and activation quantizer, and
+        ``kv_quant``, only when it reaches them, so a suspended walk runs on
+        with whatever is installed when it is resumed. While suspended it
+        holds only ``h``, the group's input and the causal mask: the other
+        intermediates live and die in :meth:`_attend` and :meth:`_gate`.
 
         ``cache`` is the key/value cache of decoding: block ``i`` maps to
         its head-split ``(keys, values)``, ``[batch, heads, past, d_head]``,
@@ -248,46 +249,60 @@ class TransformerLM:
         no cache (or an empty one) ``past`` is 0 and the causal mask is the
         full sequence's.
 
-        In-place ops here write only to arrays this loop has just made (the
-        attention scores, the SiLU output); ``h`` itself is never written,
-        as the resume record of :meth:`collect_calibration` may hold it."""
-        p = self.profile
-        b, seq, _ = h.shape
-        n_heads = p.n_heads
-        d_head = p.d_model // n_heads
-        past = cache[start][0].shape[2] if cache else 0
+        Nothing here writes to ``h`` or to a yielded input: a suspended walk
+        and the arrays :meth:`collect_calibration` returns hold them."""
+        seq = h.shape[1]
+        past = cache[0][0].shape[2] if cache else 0
         mask = np.triu(np.full((seq, past + seq), -1e30), k=past + 1)
-
-        def heads(t):
-            return t.reshape(b, seq, n_heads, d_head).transpose(0, 2, 1, 3)
-
-        for i in range(start, stop):
+        for i in range(self.profile.n_layers):
             x = _rmsnorm(h)
-            q = self._linear(f"layers.{i}.wq", x, capture)
-            k = self._linear(f"layers.{i}.wk", x, capture)
-            v = self._linear(f"layers.{i}.wv", x, capture)
-            if self.kv_quant is not None:
-                for bi in range(b):
-                    k[bi], v[bi] = self.kv_quant(k[bi], v[bi])
-
-            qh, kh, vh = heads(q), heads(k), heads(v)
-            if cache is not None:
-                if past:
-                    kh = np.concatenate((cache[i][0], kh), axis=2)
-                    vh = np.concatenate((cache[i][1], vh), axis=2)
-                cache[i] = kh, vh
-            att = qh @ kh.transpose(0, 1, 3, 2)
-            att /= np.sqrt(d_head)
-            att += mask
-            att = _softmax(att)
-            ctx = (att @ vh).transpose(0, 2, 1, 3).reshape(b, seq, p.d_model)
-            h = h + self._linear(f"layers.{i}.wo", ctx, capture)
-
+            yield x
+            x = self._attend(i, x, mask, cache)
+            yield x
+            h = h + self._linear(f"layers.{i}.wo", x)
             x = _rmsnorm(h)
-            gate = _silu(self._linear(f"layers.{i}.w1", x, capture))
-            gate *= self._linear(f"layers.{i}.w3", x, capture)
-            h = h + self._linear(f"layers.{i}.w2", gate, capture)
-        return h
+            yield x
+            x = self._gate(i, x)
+            yield x
+            h = h + self._linear(f"layers.{i}.w2", x)
+        yield h
+
+    def _attend(
+        self, i: int, x: np.ndarray, mask: np.ndarray, cache: Optional[dict]
+    ) -> np.ndarray:
+        """Block ``i``'s causal multi-head attention over its normed input
+        ``x``, through ``cache`` (see :meth:`_blocks`): the context ``wo``
+        reads. In place only on the scores, which it allocates."""
+        p = self.profile
+        b, seq, _ = x.shape
+        d_head = p.d_model // p.n_heads
+        q = self._linear(f"layers.{i}.wq", x)
+        k = self._linear(f"layers.{i}.wk", x)
+        v = self._linear(f"layers.{i}.wv", x)
+        if self.kv_quant is not None:
+            for bi in range(b):
+                k[bi], v[bi] = self.kv_quant(k[bi], v[bi])
+        qh, kh, vh = (
+            t.reshape(b, seq, p.n_heads, d_head).transpose(0, 2, 1, 3)
+            for t in (q, k, v)
+        )
+        if cache is not None:
+            if i in cache:
+                kh = np.concatenate((cache[i][0], kh), axis=2)
+                vh = np.concatenate((cache[i][1], vh), axis=2)
+            cache[i] = kh, vh
+        att = qh @ kh.transpose(0, 1, 3, 2)
+        att /= np.sqrt(d_head)
+        att += mask
+        att = _softmax(att)
+        return (att @ vh).transpose(0, 2, 1, 3).reshape(b, seq, p.d_model)
+
+    def _gate(self, i: int, x: np.ndarray) -> np.ndarray:
+        """Block ``i``'s SwiGLU product ``silu(x w1ᵀ) · (x w3ᵀ)`` over its
+        normed MLP input ``x``: what ``w2`` reads."""
+        gate = _silu(self._linear(f"layers.{i}.w1", x))
+        gate *= self._linear(f"layers.{i}.w3", x)
+        return gate
 
     def logits(self, tokens: np.ndarray) -> np.ndarray:
         return self.forward(tokens)
@@ -298,33 +313,33 @@ class TransformerLM:
     ) -> Dict[str, np.ndarray]:
         """Inputs seen by each linear during a forward pass over ``tokens``.
 
-        ``names`` restricts the collection to those linears (``KeyError``
-        for any name not in :attr:`linear_names`) and runs only the forward
-        work they need, which the engine's sequential calibration (one
-        group per call, in forward order) exploits:
+        The collection walks the blocks (:meth:`_blocks`) up to the input of
+        the last linear it wants, so neither that linear's matmul, nor
+        anything after it, nor the logits head runs. ``names`` restricts it
+        to those linears (``KeyError`` for any name not in
+        :attr:`linear_names`). The engine's sequential calibration asks for
+        one group per call, in forward order, so a targeted collection keeps
+        its walk suspended where it stopped, as the model's single record,
+        and the next one resumes it: a sequential quantize runs each
+        linear's matmul once.
 
-        * it resumes from the residual stream recorded at the start of an
-          earlier or equal block, when that record is still valid;
-        * it records the residual stream at the start of the first block
-          the names live in;
-        * it stops as soon as the last requested input is captured, before
-          that linear's matmul, so neither the rest of the block nor the
-          logits head runs.
-
-        The record is valid only while (1) the calibration input is the
-        same object as when it was recorded (calibration inputs must not be
-        modified in place), (2) every linear in the blocks before it has the
-        same weight (``overrides`` or ``weights``) and ``act_quant``
-        objects, and (3) ``kv_quant`` is the same object. The model keeps
-        at most one record, by strong reference, so those identities cannot
-        be recycled; :meth:`clear_overrides` drops it, and so does
-        collecting the model's last linear. Every other case recomputes
-        from the embedding. A resumed collection thus performs the same
-        operations on the same arrays as a full forward, and its
-        activations are bit-identical to the full collection's.
+        A targeted collection resumes the record only when all it wants lies
+        past the suspension point (the same group again, or an earlier one,
+        restarts from the embedding), and only while (1) the calibration
+        input is the same object as when it was recorded (calibration inputs
+        must not be modified in place), (2) every linear before the
+        suspension point has the same weight (``overrides`` or ``weights``)
+        and ``act_quant`` objects, and (3) ``kv_quant`` is the same object.
+        The model keeps at most one record, by strong reference, so those
+        identities cannot be recycled; :meth:`clear_overrides` drops it, and
+        so does collecting the model's last linear. The full collection
+        (``names=None``) walks afresh and leaves the record alone. A resumed
+        walk runs the rest of the linears on what is installed when it
+        resumes, exactly as a fresh forward would, so its activations are
+        bit-identical to the full collection's.
 
         Each returned array is a read-only ``[tokens, d_in]`` view of the
-        input the forward fed its linear; linears fed the same input
+        input the walk fed its linear; linears fed the same input
         (``wq``/``wk``/``wv``, ``w1``/``w3``) get the same array.
         """
         return self._calibrate(
@@ -339,60 +354,44 @@ class TransformerLM:
     ) -> Dict[str, np.ndarray]:
         """:meth:`collect_calibration` for the calibration input ``key``,
         whose input embeddings ``embed()`` computes."""
-        if names is None:
-            capture = _Capture()
-            self._forward_embeddings(embed(), capture)
-        else:
-            capture = self._resume(key, embed, names)
-        acts: Dict[str, np.ndarray] = {}
-        x = flat = None
-        for name, taken in capture.items():
-            if taken is not x:
-                x, flat = taken, taken.reshape(-1, taken.shape[-1])
-                flat.flags.writeable = False
-            acts[name] = flat
-        return acts
-
-    def _resume(
-        self, key: object, embed: Callable[[], np.ndarray], names: Iterable[str]
-    ) -> _Capture:
-        """The targeted forward of :meth:`collect_calibration`."""
-        order = self.linear_names
-        wanted = set(names)
-        unknown = wanted.difference(order)
+        points = _input_points(self.profile.n_layers)
+        wanted = set(points if names is None else names)
+        unknown = wanted.difference(points)
         if unknown:
             raise KeyError(f"unknown linears {sorted(unknown)}")
-        at = [i for i, name in enumerate(order) if name in wanted]
-        if not at:
-            return _Capture([])
-        first = at[0] // len(_BLOCK_LINEARS)
-        start, h = 0, None
-        if self._record is not None:
-            rec_key, block, rec_h, inputs = self._record
-            if (
-                rec_key is key
-                and block <= first
-                and all(map(operator.is_, inputs, self._inputs_before(block)))
-            ):
-                start, h = block, rec_h
-        if h is None:
-            h = self._stream(embed())
-        h = self._blocks(h, start, first)
-        self._record = (key, first, h, self._inputs_before(first))
-        capture = _Capture([order[i] for i in at])
-        try:
-            self._blocks(h, first, self.profile.n_layers, capture)
-        except _Captured:
-            pass
-        if at[-1] == len(order) - 1:
-            self._record = None
-        return capture
+        order = [name for name in points if name in wanted]
+        if not order:
+            return {}
+        walk, at = None, -1
+        if names is not None:
+            record, self._record = self._record, None
+            if record is not None:
+                rec_key, rec_walk, rec_at, inputs = record
+                if (
+                    rec_key is key
+                    and rec_at < points[order[0]]
+                    and all(map(operator.is_, inputs, self._inputs_before(rec_at)))
+                ):
+                    walk, at = rec_walk, rec_at
+        if walk is None:
+            walk = self._blocks(self._stream(embed()))
+        taken = {points[name]: None for name in order}
+        while at < points[order[-1]]:
+            x = next(walk)
+            at += 1
+            if at in taken:
+                taken[at] = x.reshape(-1, x.shape[-1])
+                taken[at].flags.writeable = False
+        if names is not None and at < len(_BLOCK_GROUPS) * self.profile.n_layers - 1:
+            self._record = (key, walk, at, self._inputs_before(at))
+        return {name: taken[points[name]] for name in order}
 
-    def _inputs_before(self, block: int) -> list:
-        """Everything besides the calibration input that the residual stream
-        entering ``block`` depends on: ``kv_quant``, then each earlier
-        linear's weight and activation quantizer."""
-        names = self.linear_names[: block * len(_BLOCK_LINEARS)]
+    def _inputs_before(self, point: int) -> list:
+        """Everything besides the calibration input that a walk suspended at
+        its yield ``point`` has read: ``kv_quant``, then the weight and
+        activation quantizer of each linear before that point."""
+        points = _input_points(self.profile.n_layers)
+        names = [name for name, at in points.items() if at < point]
         return (
             [self.kv_quant]
             + [self._w(name) for name in names]

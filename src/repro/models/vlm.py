@@ -110,7 +110,7 @@ class VisionLanguageModel:
 
         ``names`` restricts the collection exactly as
         :meth:`TransformerLM.collect_calibration` does, through the same
-        block loop and resume record: the record is keyed on the ``calib``
+        walk and suspended record: the record is keyed on the ``calib``
         object itself, is valid under the same rule, and the captured
         activations are bit-identical to the full collection's for the
         same reason."""

@@ -11,9 +11,10 @@ lifecycle. It improves on the naive per-layer walk in three ways:
   substrate registry; the engine collects activations once per group instead
   of once per layer, and the result is bit-identical to the sequential walk
   (asserted in ``tests/test_substrates.py``). On the LM and VLM each
-  group's collection resumes from the residual stream recorded where an
-  earlier group's block began, as long as nothing upstream of it changed,
-  so a sequential quantize runs O(L) block passes instead of replaying the
+  group's collection resumes the forward walk that the previous group's
+  collection left suspended at its input, as long as nothing upstream of
+  the suspension changed, so a sequential quantize runs each linear's
+  matmul once (7·L − 1 calls on an L-block model) instead of replaying the
   forward from the embedding for every group (O(L²)).
 
 * **Hessian store.** ``H = 2 X Xᵀ + λI`` depends only on the calibration
@@ -28,9 +29,10 @@ lifecycle. It improves on the naive per-layer walk in three ways:
 * **Shape batching.** Same-shape members of a group that share their
   calibration inputs are row-stacked into one kernel call for methods whose
   spec declares ``row_batchable``, and split back per layer — bit-identical
-  to quantizing them one by one. Finding them hashes each distinct
-  calibration array of the group once, and that digest rides to the
-  Hessian store, which therefore does not hash the array again.
+  to quantizing them one by one. Finding them, or resolving a Hessian for a
+  multi-layer group, hashes each distinct calibration array of the group
+  once, and that digest rides to the Hessian store, which therefore does
+  not hash the array again.
 
 Layers quantize in forward order on the calling thread, each inside
 :data:`repro.pipeline.executor.ONE_BLAS_THREAD`, so a direct call gives the
@@ -150,24 +152,32 @@ class _BatchTask:
         return "+".join(self.names)
 
 
+def _hash_once(tasks: List[_LayerTask]) -> None:
+    """Give each task of a multi-layer group the digest of its calibration
+    array, hashing each distinct array object once; a task that already has
+    one keeps it, and a single task is left to the Hessian store."""
+    if len(tasks) < 2:
+        return
+    for i, task in enumerate(tasks):
+        if task.digest is None:
+            task.digest = next(
+                (t.digest for t in tasks[:i] if t.acts is task.acts), None
+            ) or HessianStore.digest(task.acts)
+
+
 def _coalesce_tasks(tasks: List[_LayerTask]) -> List[Any]:
     """Group same-(d_in, calibration) layers into :class:`_BatchTask`\\ s.
 
     Singleton groups stay plain :class:`_LayerTask`\\ s. The calibration key
-    is a content digest, not an identity check, so substrates that return
-    equal-but-distinct activation arrays per layer still coalesce. Each
-    distinct array object is hashed once (its digest is kept on the tasks
-    for the Hessian store), and a single task is not hashed at all.
+    is a content digest (:func:`_hash_once`), not an identity check, so
+    substrates that return equal-but-distinct activation arrays per layer
+    still coalesce.
     """
     if len(tasks) < 2:
         return list(tasks)
-    hashed: List[Any] = []  # (array, digest) per distinct array object
+    _hash_once(tasks)
     buckets: Dict[Any, List[_LayerTask]] = {}
     for task in tasks:
-        task.digest = next((d for a, d in hashed if a is task.acts), None)
-        if task.digest is None:
-            task.digest = HessianStore.digest(task.acts)
-            hashed.append((task.acts, task.digest))
         buckets.setdefault((task.weights.shape[1], task.digest), []).append(task)
     units: List[Any] = []
     for members in buckets.values():
@@ -345,10 +355,11 @@ def quantize_model(
             stage_plan = groups
             acts_all = None
             # Targeted calibration: substrates whose collect_calibration
-            # accepts ``names`` stop the forward at the deepest layer the
-            # group needs and skip the logits head. Bit-identical (the
-            # forward prefix is the same computation); duck-typed models
-            # without the parameter get the full collection.
+            # accepts ``names`` stop the forward at the group's input and
+            # skip the logits head (the LM and VLM resume where the previous
+            # group stopped). Bit-identical (the forward prefix is the same
+            # computation); duck-typed models without the parameter get the
+            # full collection.
             try:
                 targeted = "names" in inspect.signature(
                     model.collect_calibration
@@ -371,6 +382,8 @@ def quantize_model(
             tasks = [
                 _LayerTask(name, model.weights[name], acts[name]) for name in group
             ]
+            if spec.wants_hessian(act_bits):
+                _hash_once(tasks)
             units = _coalesce_tasks(tasks) if batchable else tasks
             results: Dict[str, Any] = {}
             for unit in units:

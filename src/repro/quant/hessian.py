@@ -19,6 +19,8 @@ L17) and the error-compensation updates (L31–36) read from ``H^-1``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -35,7 +37,13 @@ def layer_hessian(calib_inputs: np.ndarray, damp_ratio: float = 0.01) -> np.ndar
     ``calib_inputs`` has shape ``[n_samples, d_in]`` (rows are calibration
     vectors fed to the layer). ``λ`` is ``damp_ratio`` times the mean
     diagonal, the standard GPTQ damping that keeps ``H`` well conditioned.
+    ``damp_ratio`` must be finite and non-negative (``ValueError``
+    otherwise): a NaN would quietly turn every compensated weight into NaN.
     """
+    if not 0.0 <= damp_ratio < math.inf:
+        raise ValueError(
+            f"damp_ratio must be finite and non-negative, got {damp_ratio!r}"
+        )
     x = np.asarray(calib_inputs, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"calibration inputs must be 2-D, got shape {x.shape}")

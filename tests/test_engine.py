@@ -101,11 +101,12 @@ class TestHessianStore:
 
 class TestHashOnce:
     """The engine hashes each distinct calibration array of a multi-layer
-    group once and hands the digest to the Hessian store; a one-layer group
-    is hashed only by the store, and only for Hessian methods."""
+    group once, for batching or for a Hessian, and hands the digest to the
+    Hessian store; a one-layer group is hashed only by the store, and only
+    for Hessian methods."""
 
     @pytest.mark.parametrize("method, passes", [
-        ("gptq", 8), ("microscopiq", 8), ("rtn", 4),
+        ("gptq", 8), ("microscopiq", 8), ("rtn", 4), ("omni-microscopiq", 8),
     ])
     def test_sha256_passes_per_quantize_model(self, monkeypatch, method, passes):
         from repro.methods import resources

@@ -45,6 +45,11 @@ class TestLayerHessian:
         with pytest.raises(ValueError):
             layer_hessian(np.zeros(5))
 
+    @pytest.mark.parametrize("damp", [np.nan, np.inf, -np.inf, -1.0, -1e-12])
+    def test_rejects_non_finite_or_negative_damping(self, calib_small, damp):
+        with pytest.raises(ValueError, match="damp_ratio"):
+            layer_hessian(calib_small, damp)
+
 
 class TestInverse:
     def test_inverse_property(self, calib_small):

@@ -221,6 +221,14 @@ class TestHessianBundle:
         with pytest.raises(ValueError, match="needs"):
             HessianBundle()
 
+    @pytest.mark.parametrize("damp", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("method", ["gptq", "atom", "microscopiq", "omni-microscopiq"])
+    def test_bad_damping_raises_through_every_hessian_method(self, method, damp):
+        rng = np.random.default_rng(3)
+        w, x = rng.normal(0, 1, (16, 64)), rng.normal(0, 1, (40, 64))
+        with pytest.raises(ValueError, match="damp_ratio"):
+            get_method(method).quantize(w, x, bits=4, damp_ratio=damp)
+
     def test_store_bundle_identity_across_settings(self):
         store = HessianStore()
         acts = np.random.default_rng(2).normal(0, 1, (32, 8))

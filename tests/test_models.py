@@ -313,9 +313,9 @@ def linear_calls(monkeypatch):
     calls = []
     linear = TransformerLM._linear
 
-    def spy(self, name, x, capture):
+    def spy(self, name, x):
         calls.append(name)
-        return linear(self, name, x, capture)
+        return linear(self, name, x)
 
     monkeypatch.setattr(TransformerLM, "_linear", spy)
     return calls
@@ -352,9 +352,10 @@ def _other_than(calib):
 
 
 class TestCalibrationResume:
-    """Targeted ``collect_calibration`` resumes from the residual stream it
-    recorded at an earlier group's block: never stale, always bit-identical
-    to the full collection, O(L) block passes per sequential quantize."""
+    """Targeted ``collect_calibration`` resumes the forward walk it left
+    suspended at an earlier group's input: never stale, always bit-identical
+    to the full collection, each linear's matmul once per sequential
+    quantize."""
 
     def test_forward_walk_bit_identical(self, resumable):
         model, calib = resumable
@@ -378,7 +379,7 @@ class TestCalibrationResume:
         rest = self._record_block_one(model, calib, np.random.default_rng(1))
         del linear_calls[:]
         model.collect_calibration(calib, names=rest[0])
-        assert linear_calls == [f"layers.1.{w}" for w in ("wq", "wk", "wv", "wo")]
+        assert linear_calls == [f"layers.1.{w}" for w in ("wq", "wk", "wv")]
 
     def test_earlier_override_or_act_quantizer_replaced(self, resumable):
         model, calib = resumable
@@ -388,6 +389,16 @@ class TestCalibrationResume:
         model.set_override("layers.0.wo", w + rng.normal(0, 0.05, w.shape))
         _assert_targeted_equals_full(model, calib, rest[0])
         model.act_quant["layers.0.w2"] = ActivationQuantizer(None, 4)
+        _assert_targeted_equals_full(model, calib, rest[1])
+
+    def test_group_just_before_the_suspension_replaced(self, resumable):
+        """The linears that ran last before the walk suspended count too."""
+        model, calib = resumable
+        rng = np.random.default_rng(8)
+        rest = self._record_block_one(model, calib, rng)
+        _perturb(model, ["layers.0.w2"], rng)
+        _assert_targeted_equals_full(model, calib, rest[0])
+        _perturb(model, [f"layers.1.{w}" for w in ("wq", "wk", "wv")], rng)
         _assert_targeted_equals_full(model, calib, rest[1])
 
     def test_clear_overrides(self, resumable):
@@ -433,11 +444,68 @@ class TestCalibrationResume:
             assert np.array_equal(model.overrides[name], ref[name]), name
 
     def test_sequential_quantize_linear_in_depth(self, resumable, linear_calls):
-        """At most 28 linear calls per block (the O(L²) replay from block 0
-        made 84 on 2 blocks and 168 on 3)."""
+        """Each linear's matmul runs once, except the last one's, which
+        nothing reads (the O(L²) replay from block 0 made 84 calls on 2
+        blocks and 168 on 3; resuming at the block start, 47 and 74)."""
         model, calib = resumable
         quantize_model(model, "rtn", 4, calib=calib)
-        assert len(linear_calls) <= 28 * model.profile.n_layers
+        assert len(linear_calls) == 7 * model.profile.n_layers - 1
+        assert getattr(model, "lm", model)._record is None
+
+    def test_suspended_walk_holds_only_stream_input_and_mask(self, resumable):
+        """No other intermediate (queries, keys, values, scores, the SwiGLU
+        operands) stays alive across a suspension."""
+        model, calib = resumable
+        lm = getattr(model, "lm", model)
+        rng = np.random.default_rng(6)
+        for group in calibration_groups(model)[:-1]:
+            x = model.collect_calibration(calib, names=group)[group[0]]
+            frame = lm._record[1].gi_frame
+            arrays = [v for v in frame.f_locals.values() if isinstance(v, np.ndarray)]
+            others = [a for a in arrays if not np.shares_memory(a, x)]
+            assert len(arrays) == 3 and len(others) == 2, group
+            h, mask = sorted(others, key=np.ndim, reverse=True)
+            b, seq, d = h.shape
+            assert (b * seq, d) == (x.shape[0], lm.profile.d_model), group
+            assert mask.shape == (seq, seq), group
+            _perturb(model, group, rng)
+
+    def test_full_collection_skips_the_head(self, resumable, monkeypatch):
+        """The full collection stops at the last linear's input: neither
+        that matmul nor the logits head runs."""
+        from repro.models import transformer
+
+        model, calib = resumable
+        lm = getattr(model, "lm", model)
+        dense, weights = transformer._dense, []
+
+        def spy(x, w):
+            weights.append(w)
+            return dense(x, w)
+
+        monkeypatch.setattr(transformer, "_dense", spy)
+        lm.forward(np.zeros((1, 4), dtype=np.int64))
+        assert weights[-1] is lm.embed  # the spy sees the head
+        del weights[:]
+        model.collect_calibration(calib)
+        assert len(weights) == 7 * lm.profile.n_layers - 1
+        assert not any(w is lm.embed for w in weights)
+
+    def test_same_or_earlier_group_restarts_at_the_embedding(self, resumable, linear_calls):
+        model, calib = resumable
+        groups = calibration_groups(model)
+        rng = np.random.default_rng(7)
+        first = {}
+        for group in groups[:5]:
+            first.update(model.collect_calibration(calib, names=group))
+            _perturb(model, group, rng)
+        for again, upstream in ((groups[4], 7), (groups[2], 4)):
+            del linear_calls[:]
+            part = model.collect_calibration(calib, names=again)
+            assert linear_calls == model.linear_names[:upstream]
+            for name in again:
+                assert np.array_equal(part[name], first[name]), name
+            _assert_targeted_equals_full(model, calib, again)
 
 
 def _sample_reference(model, n_sequences, seq_len, rng):
@@ -481,9 +549,9 @@ def linear_rows(monkeypatch):
     rows = []
     linear = TransformerLM._linear
 
-    def spy(self, name, x, capture):
+    def spy(self, name, x):
         rows.append(x.shape[0] * x.shape[1])
-        return linear(self, name, x, capture)
+        return linear(self, name, x)
 
     monkeypatch.setattr(TransformerLM, "_linear", spy)
     return rows

@@ -174,9 +174,9 @@ class TestMetricsRegistry:
 
     def test_negative_incr_reclassifies(self):
         reg = MetricsRegistry()
-        reg.incr("disk_hits")
-        reg.incr("disk_hits", -1)  # the corrupt-blob walk-back
-        assert reg.value("disk_hits") == 0
+        reg.incr("hits")
+        reg.incr("hits", -1)  # a hit taken back after the fact
+        assert reg.value("hits") == 0
 
     def test_delta_drops_zero_rows(self):
         reg = MetricsRegistry()
